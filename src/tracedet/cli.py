@@ -14,9 +14,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from .identbuild import FAMILY_IDS, THM1, IdentityFamily
+from .symmat import DET_DP_SIZE_BOUND
 from .verify import (
     DEFAULT_RANGES,
     GAUSSIAN,
@@ -55,7 +57,6 @@ class CliConfig:
     eps_mode: str
     out_format: str
     out_path: str | None
-    size_bounds: dict[str, int] = field(default_factory=dict)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,17 +89,18 @@ def _validated_config(parser: argparse.ArgumentParser, args: argparse.Namespace)
         parser.error("--trials must be >= 1")
     if args.max_n is not None and args.max_n < 0:
         parser.error("--max-n must be >= 0")
-    if args.n is not None:
-        minimum = {"thm1": 0, "thm3": 1, "cor5": 1, "cor6": 2, "thm7": 2,
-                   "magnus": 1, "thm2": 1}.get(target)
-        if minimum is not None and args.n < minimum:
-            parser.error(f"--n must be >= {minimum} for {target}")
-        # Symbolic engines have hard size bounds; reject before computing.
-        maximum = {"thm1": 7, "thm3": 8, "cor5": 8, "cor6": 8, "thm7": 8}.get(target)
-        if maximum is not None and args.n > maximum:
+    if args.n is not None and target in FAMILY_IDS:
+        try:
+            IdentityFamily(target, args.n)
+        except ValueError as exc:
+            parser.error(str(exc))
+        # det_dp has a hard size bound; reject before computing.  thm1's A
+        # is (n+1)x(n+1), every other family's largest matrix is n x n.
+        maximum = DET_DP_SIZE_BOUND - 1 if target == THM1 else DET_DP_SIZE_BOUND
+        if args.n > maximum:
             parser.error(f"--n must be <= {maximum} for {target}")
-        if target in ("cor6", "thm7") and args.n % 2 != 0:
-            parser.error(f"--n must be even for {target}")
+    elif args.n is not None and target in ("magnus", "thm2") and args.n < 1:
+        parser.error(f"--n must be >= 1 for {target}")
     if target in ("magnus-original", "trace") and args.n is not None:
         parser.error(f"--n is not valid for {target}")
     trials = args.trials

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 _KIND_LAMBDA = 0
 _KIND_BETA = 1
@@ -208,33 +208,33 @@ class Polynomial:
                 base = base * base
         return result
 
+    def evaluate(self, point: Mapping[PolyVar, object], one):
+        """Ring homomorphism sending each variable v to ``point[v]`` in any
+        ring with ``+``, ``*``, ``-`` and int scaling; ``one`` is its unit.
+        A variable missing from ``point`` raises KeyError."""
+        total = None
+        for mono, coeff in self._terms.items():
+            term = None
+            for var, exp in mono:
+                x = point[var]
+                for _ in range(exp):
+                    term = x if term is None else term * x
+            # Unit coefficients are the common case; scaling costs a ring product.
+            if term is None:
+                term = one * coeff
+            elif coeff != 1:
+                term = -term if coeff == -1 else term * coeff
+            total = term if total is None else total + term
+        return one - one if total is None else total
+
     def substitute(self, mapping: Mapping[PolyVar, "Polynomial | int"]) -> "Polynomial":
         """Ring homomorphism sending each mapped variable to its image.
 
         Unmapped variables stay fixed.
         """
-        images = {v: _coerce(p) for v, p in mapping.items()}
-        pow_cache: dict[tuple[PolyVar, int], Polynomial] = {}
-        total = Polynomial.zero()
-        for mono, coeff in self._terms.items():
-            fixed: list[tuple[PolyVar, int]] = []
-            factor = None
-            for var, exp in mono:
-                image = images.get(var)
-                if image is None:
-                    fixed.append((var, exp))
-                    continue
-                key = (var, exp)
-                powed = pow_cache.get(key)
-                if powed is None:
-                    powed = image ** exp
-                    pow_cache[key] = powed
-                factor = powed if factor is None else factor * powed
-            term = Polynomial({tuple(fixed): coeff})
-            if factor is not None:
-                term = term * factor
-            total = total + term
-        return total
+        images = {v: Polynomial.of_var(v) for v in self.variables()}
+        images.update((v, _coerce(p)) for v, p in mapping.items())
+        return self.evaluate(images, Polynomial.of_int(1))
 
     def coeff_in_var(self, v: PolyVar, k: int) -> "Polynomial":
         """The polynomial q_k in p = sum_k q_k * v^k; v is absent from it."""
@@ -322,10 +322,3 @@ def _coerce(value) -> Polynomial:
     if isinstance(value, int):
         return Polynomial.of_int(value)
     return NotImplemented
-
-
-def poly_sum(values: Iterable[Polynomial]) -> Polynomial:
-    total = Polynomial.zero()
-    for value in values:
-        total = total + value
-    return total

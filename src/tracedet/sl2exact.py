@@ -11,6 +11,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .exactpoly import LAMBDA, PolyVar, entry
+from .identbuild import build_thm1
+from .symmat import NonSquareError
+
 
 class SingularError(ZeroDivisionError):
     pass
@@ -21,10 +25,6 @@ class NotUnimodularError(ValueError):
 
 
 class LengthMismatchError(ValueError):
-    pass
-
-
-class NonSquareError(ValueError):
     pass
 
 
@@ -107,7 +107,6 @@ def _gr(x) -> GaussianRational:
 
 GR_ZERO = GaussianRational()
 GR_ONE = GaussianRational(Fraction(1))
-GR_TWO = GaussianRational(Fraction(2))
 
 
 @dataclass(frozen=True, slots=True)
@@ -227,6 +226,17 @@ def _require_unimodular(mats: Sequence[Mat2], what: str) -> None:
             raise NotUnimodularError(f"{what}[{idx}] has determinant {m.det()!r}")
 
 
+def _trace_point(ms: Sequence[Mat2], big_ms: Sequence[Mat2]) -> dict[PolyVar, GaussianRational]:
+    """The point at which thm1's matrices become trace matrices: lambda = 1,
+    a[i,0] = tr m_i, a[0,j] = tr M_j and a[i,j] = tr(m_i M_j^-1)."""
+    point = {LAMBDA: GR_ONE}
+    point.update((entry(0, j), big.trace()) for j, big in enumerate(big_ms, 1))
+    for i, (m, row) in enumerate(zip(ms, trace_matrix(ms, big_ms, invert_right=True)), 1):
+        point[entry(i, 0)] = m.trace()
+        point.update((entry(i, j), x) for j, x in enumerate(row, 1))
+    return point
+
+
 def build_magnus_matrices(
     ms: Sequence[Mat2], big_ms: Sequence[Mat2]
 ) -> tuple[GRMatrix, GRMatrix, GRMatrix]:
@@ -235,32 +245,20 @@ def build_magnus_matrices(
     With m_0 = M_0 = I: A is (n+1)x(n+1) with A[i][j] = tr(m_i M_j^-1) when
     i+j is even and tr(m_i M_j) otherwise; B[i][j] = -tr(m_i M_j) and
     C[i][j] = tr(m_i M_j^-1) for 1 <= i, j <= n.  Note B carries the minus
-    sign, so the identity reads det A = det B + det C.
+    sign, so the identity reads det A = det B + det C.  A, -B and C are
+    thm1's matrices at the trace point, by tr(mM) = tr m tr M - tr(mM^-1).
     """
     if len(ms) != len(big_ms):
         raise LengthMismatchError(f"{len(ms)} m's vs {len(big_ms)} M's")
     _require_unimodular(ms, "m")
     _require_unimodular(big_ms, "M")
-    n = len(ms)
-    m_full = [Mat2.identity(), *ms]
-    big_full = [Mat2.identity(), *big_ms]
-    big_inv = [x.inverse() for x in big_full]
-    a_mat = [
-        [
-            (m_full[i] @ (big_inv[j] if (i + j) % 2 == 0 else big_full[j])).trace()
-            for j in range(n + 1)
-        ]
-        for i in range(n + 1)
-    ]
-    b_mat = [
-        [-(m_full[i] @ big_full[j]).trace() for j in range(1, n + 1)]
-        for i in range(1, n + 1)
-    ]
-    c_mat = [
-        [(m_full[i] @ big_inv[j]).trace() for j in range(1, n + 1)]
-        for i in range(1, n + 1)
-    ]
-    return a_mat, b_mat, c_mat
+    a_poly, b_poly, c_poly = build_thm1(len(ms))
+    point = _trace_point(ms, big_ms)
+    return (
+        a_poly.evaluate(point, GR_ONE),
+        [[-x for x in row] for row in b_poly.evaluate(point, GR_ONE)],
+        c_poly.evaluate(point, GR_ONE),
+    )
 
 
 def validate_sign_vector(eps: Sequence[int]) -> tuple[int, ...]:
@@ -274,7 +272,8 @@ def build_thm2_D(
     ms: Sequence[Mat2], big_ms: Sequence[Mat2], eps: Sequence[int]
 ) -> GRMatrix:
     """The n x n matrix D[i][j] = tr(m_i M_j^{eps_i}); row i uses the single
-    exponent eps_i throughout."""
+    exponent eps_i throughout, so it is row i of thm1's B (eps_i = +1) or C
+    (eps_i = -1) at the trace point."""
     if not (len(ms) == len(big_ms) == len(eps)):
         raise LengthMismatchError(
             f"lengths differ: {len(ms)} m's, {len(big_ms)} M's, {len(eps)} signs"
@@ -282,20 +281,21 @@ def build_thm2_D(
     vec = validate_sign_vector(eps)
     _require_unimodular(ms, "m")
     _require_unimodular(big_ms, "M")
-    big_inv = [x.inverse() for x in big_ms]
+    _, b_poly, c_poly = build_thm1(len(ms))
+    point = _trace_point(ms, big_ms)
     return [
-        [
-            (ms[i] @ (big_ms[j] if vec[i] == 1 else big_inv[j])).trace()
-            for j in range(len(big_ms))
-        ]
-        for i in range(len(ms))
+        [(b_poly if e == 1 else c_poly).entry(i, j).evaluate(point, GR_ONE) for j in b_poly.col_labels]
+        for i, e in enumerate(vec, 1)
     ]
 
 
 def trace_matrix(left: Sequence[Mat2], right: Sequence[Mat2], invert_right: bool = False) -> GRMatrix:
     """The matrix (tr(left_i * right_j)) or (tr(left_i * right_j^-1))."""
     cols = [x.inverse() for x in right] if invert_right else list(right)
-    return [[(li @ rj).trace() for rj in cols] for li in left]
+    return [
+        [x.e11 * y.e11 + x.e12 * y.e21 + x.e21 * y.e12 + x.e22 * y.e22 for y in cols]
+        for x in left
+    ]
 
 
 def _require_square_gr(rows: GRMatrix) -> int:
@@ -400,10 +400,6 @@ def gaussian_to_json(x: GaussianRational) -> dict[str, str]:
         "im_num": str(x.im.numerator),
         "im_den": str(x.im.denominator),
     }
-
-
-def matrix_to_json(rows: GRMatrix) -> list[list[dict[str, str]]]:
-    return [[gaussian_to_json(x) for x in row] for row in rows]
 
 
 def mat2_to_json(m: Mat2) -> list[list[dict[str, str]]]:

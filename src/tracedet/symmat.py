@@ -126,6 +126,14 @@ class PolyMatrix:
             {rc: p.substitute(mapping) for rc, p in self._entries.items()},
         )
 
+    def evaluate(self, point: Mapping[PolyVar, object], one) -> list[list]:
+        """Rows of scalars: Polynomial.evaluate applied to every entry, rows
+        and columns in label order."""
+        return [
+            [self._entries[(r, c)].evaluate(point, one) for c in self.col_labels]
+            for r in self.row_labels
+        ]
+
     def with_entry(self, r: int, c: int, value: Polynomial | int) -> "PolyMatrix":
         if (r, c) not in self._entries:
             raise UnknownLabelError(f"no entry ({r}, {c})")
@@ -352,19 +360,8 @@ def pfaffian(m: PolyMatrix) -> Polynomial:
     Sign convention: the matching (l1,ln)(l2,ln-1)... of the sorted labels
     contributes +1; pfaffian(m)**2 equals det(m).
     """
-    n, labels = _check_skew(m)
-    if n == 0:
-        return Polynomial.of_int(1)
-    norm = _reference_sign(labels)
-    total = Polynomial.zero()
-    for matching in perfect_matchings(labels):
-        term = Polynomial.of_int(matching_sign(matching) * norm)
-        for i, j in matching:
-            term = term * m.entry(i, j)
-            if not term:
-                break
-        total = total + term
-    return total
+    even_part, odd_part = pfaffian_split(m)
+    return even_part + odd_part
 
 
 def pfaffian_split(m: PolyMatrix) -> tuple[Polynomial, Polynomial]:

@@ -260,10 +260,6 @@ def _sample_mat(generator: str, seed: int) -> Mat2:
     raise ValueError(f"unknown generator {generator!r}")
 
 
-def _gr_is_zero(x) -> bool:
-    return not x
-
-
 def verify_magnus_numeric(
     n: int, trials: int, master_seed: int, generator: str = SL2Z
 ) -> VerificationReport:
@@ -284,9 +280,9 @@ def verify_magnus_numeric(
         det_c = exact_det(c_mat)
         ok = det_a == det_b + det_c
         if ok and n >= 4:
-            ok = _gr_is_zero(det_a)
+            ok = not det_a
         if ok and n >= 5:
-            ok = _gr_is_zero(det_b) and _gr_is_zero(det_c)
+            ok = not det_b and not det_c
         if not ok:
             witness = {
                 "trial": t,
@@ -313,7 +309,7 @@ def verify_magnus_original(trials: int, master_seed: int) -> VerificationReport:
         det_mm_inv = exact_det(trace_matrix(ms, big, invert_right=True))
         det_mm = exact_det(trace_matrix(ms, ms))
         det_big = exact_det(trace_matrix(big, big))
-        additive_ok = _gr_is_zero(det_mm_cross + det_mm_inv)
+        additive_ok = not (det_mm_cross + det_mm_inv)
         product_ok = det_mm * det_big == det_mm_cross * det_mm_cross
         if not (additive_ok and product_ok):
             witness = {
@@ -334,10 +330,10 @@ def _check_kernel(d_mat: GRMatrix) -> dict | None:
     v = left_kernel(d_mat)
     if v is None:
         return {"kernel": "none found"}
-    if all(_gr_is_zero(x) for x in v):
+    if not any(v):
         return {"kernel": "zero vector returned"}
     product = mat_mul_vec_left(v, d_mat)
-    if any(not _gr_is_zero(x) for x in product):
+    if any(product):
         return {
             "kernel": "v*D nonzero",
             "v": [gaussian_to_json(x) for x in v],
@@ -369,7 +365,7 @@ def verify_thm2(
             first_det = det_d
         if not asserted:
             return None
-        if not _gr_is_zero(det_d):
+        if det_d:
             return {
                 "case": case_tag,
                 "eps": list(eps),

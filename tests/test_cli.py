@@ -53,7 +53,16 @@ def test_usage_errors(capsys):
     assert run(["verify", "trace", "--n", "2"]) == 2
     assert run(["verify", "thm1", "--trials", "0"]) == 2
     assert run(["verify", "thm1", "--n", "8"]) == 2
+    assert run(["verify", "thm3", "--n", "9"]) == 2
     capsys.readouterr()
+
+
+def test_size_bound_accepts_largest_n():
+    # Validation only: thm3 at n=8 is allowed but not run here.
+    parser = cli.build_parser()
+    args = parser.parse_args(["verify", "thm3", "--n", "8"])
+    cfg = cli._validated_config(parser, args)
+    assert (cfg.target, cfg.n) == ("thm3", 8)
 
 
 def test_exit_one_on_failure(monkeypatch, capsys):

@@ -1,11 +1,13 @@
-"""Ring, substitution, coefficient-extraction, and serialization checks for
-the sparse polynomial core."""
+"""Ring, substitution, evaluation, coefficient-extraction, and serialization
+checks for the sparse polynomial core."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from tracedet.exactpoly import BETA, LAMBDA, Polynomial, entry
+from tracedet.sl2exact import GR_ONE, GR_ZERO, GaussianRational
 
 
 def a(i, j):
@@ -108,6 +110,53 @@ def test_substitute_is_homomorphism():
         mapping = random_mapping(rng)
         assert (p + q).substitute(mapping) == p.substitute(mapping) + q.substitute(mapping)
         assert (p * q).substitute(mapping) == p.substitute(mapping) * q.substitute(mapping)
+
+
+def _int_point(rng):
+    return {v: rng.randint(-4, 4) for v in VAR_POOL}
+
+
+def _gaussian_point(rng):
+    return {
+        v: GaussianRational(Fraction(rng.randint(-4, 4), rng.randint(1, 4)),
+                            Fraction(rng.randint(-4, 4), rng.randint(1, 4)))
+        for v in VAR_POOL
+    }
+
+
+@pytest.mark.parametrize("make_point, one", [(_int_point, 1), (_gaussian_point, GR_ONE)])
+def test_evaluate_is_homomorphism(make_point, one):
+    rng = random.Random(6)
+    for _ in range(20):
+        p, q = random_poly(rng, max_terms=4), random_poly(rng, max_terms=4)
+        point = make_point(rng)
+        assert (p + q).evaluate(point, one) == p.evaluate(point, one) + q.evaluate(point, one)
+        assert (p * q).evaluate(point, one) == p.evaluate(point, one) * q.evaluate(point, one)
+
+
+def test_evaluate_matches_term_sum():
+    rng = random.Random(7)
+    for _ in range(20):
+        p = random_poly(rng)
+        point = _int_point(rng)
+        expected = 0
+        for mono, coeff in p.terms():
+            for var, exp in mono:
+                coeff *= point[var] ** exp
+            expected += coeff
+        assert p.evaluate(point, 1) == expected
+
+
+def test_evaluate_constant_and_zero():
+    assert Polynomial.of_int(5).evaluate({}, 1) == 5
+    assert Polynomial.of_int(-3).evaluate({}, GR_ONE) == GaussianRational(-3)
+    assert Polynomial.zero().evaluate({}, 1) == 0
+    assert Polynomial.zero().evaluate({}, GR_ONE) == GR_ZERO
+
+
+def test_evaluate_unmapped_variable_raises():
+    with pytest.raises(KeyError):
+        (LAM * a(1, 1)).evaluate({LAMBDA: 2}, 1)
 
 
 def test_coeff_round_trip():

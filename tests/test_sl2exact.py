@@ -162,6 +162,54 @@ def test_magnus_matrices_errors():
         build_magnus_matrices([Mat2.of(2, 0, 0, 1)], [I2])
 
 
+def _tr(x, y):
+    return (x @ y).trace()
+
+
+def reference_magnus_matrices(ms, big_ms):
+    """Direct construction with m_0 = M_0 = I: A[i][j] = tr(m_i M_j^-1) for
+    even i+j and tr(m_i M_j) for odd, B = -tr(m_i M_j), C = tr(m_i M_j^-1)."""
+    m_full = [I2, *ms]
+    big_full = [I2, *big_ms]
+    big_inv = [x.inverse() for x in big_full]
+    n = len(ms)
+    a_mat = [
+        [_tr(m_full[i], big_inv[j] if (i + j) % 2 == 0 else big_full[j]) for j in range(n + 1)]
+        for i in range(n + 1)
+    ]
+    b_mat = [[-_tr(m_full[i], big_full[j]) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    c_mat = [[_tr(m_full[i], big_inv[j]) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    return a_mat, b_mat, c_mat
+
+
+def reference_thm2_D(ms, big_ms, eps):
+    """Direct construction of D[i][j] = tr(m_i M_j^{eps_i})."""
+    return [
+        [_tr(m, big if e == 1 else big.inverse()) for big in big_ms]
+        for m, e in zip(ms, eps)
+    ]
+
+
+@pytest.mark.parametrize("sampler", ["sl2z", "gaussian"])
+def test_builders_match_direct_construction(sampler):
+    # The builders evaluate thm1 at the trace point; the direct trace
+    # construction must give the same matrices exactly.
+    def draw(rng):
+        if sampler == "sl2z":
+            return random_sl2z(12, rng)
+        return random_sl2_gaussian(rng)
+
+    for seed in range(3):
+        rng = random.Random(100 + seed)
+        for n in range(1, 6):
+            ms = [draw(rng) for _ in range(n)]
+            big = [draw(rng) for _ in range(n)]
+            assert build_magnus_matrices(ms, big) == reference_magnus_matrices(ms, big)
+            for _ in range(3):
+                eps = [rng.choice((1, -1)) for _ in range(n)]
+                assert build_thm2_D(ms, big, eps) == reference_thm2_D(ms, big, eps)
+
+
 def test_thm2_D_identity_case():
     d = build_thm2_D([I2] * 3, [I2] * 3, [1, -1, 1])
     assert d == [[gr(2)] * 3] * 3
@@ -186,6 +234,9 @@ def test_exact_det_identity_and_kernel():
 
 
 def test_exact_det_non_square():
+    from tracedet import symmat
+
+    assert NonSquareError is symmat.NonSquareError
     with pytest.raises(NonSquareError):
         exact_det([[GR_ONE, GR_ZERO]])
 
