@@ -12,6 +12,7 @@ Exit codes: 0 all checks pass, 1 some check failed, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import dataclass
@@ -212,13 +213,17 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    reports = [job() for job in build_jobs(cfg)]
-    text = render_report(reports, cfg.out_format)
+    # Open --out before any job runs, so an unwritable path is a usage error.
+    out = contextlib.nullcontext(sys.stdout)
     if cfg.out_path:
-        with open(cfg.out_path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
+        try:
+            out = open(cfg.out_path, "w", encoding="utf-8")
+        except OSError as exc:
+            print(f"tracedet: cannot write {cfg.out_path}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
+    with out as handle:
+        reports = [job() for job in build_jobs(cfg)]
+        handle.write(render_report(reports, cfg.out_format) + "\n")
     return 0 if all(r.passed for r in reports) else 1
 
 

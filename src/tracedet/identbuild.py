@@ -4,11 +4,12 @@ identities (thm1, thm3) and their specializations (cor5, cor6, thm7).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Mapping
 
 from .exactpoly import BETA, LAMBDA, Polynomial, PolyVar, entry
-from .symmat import PolyMatrix
+from .symmat import OddSizeError, PolyMatrix
 
 THM1 = "thm1"
 THM3 = "thm3"
@@ -33,16 +34,20 @@ class IdentityFamily:
         if self.id == THM1:
             if self.n < 0:
                 raise ValueError("thm1 needs n >= 0")
+        elif self.id in (COR6, THM7):
+            if self.n % 2 != 0:
+                raise OddSizeError(f"{self.id} needs even n >= 2, got {self.n}")
+            if self.n < 2:
+                raise ValueError(f"{self.id} needs even n >= 2, got {self.n}")
         elif self.n < 1:
             raise ValueError(f"{self.id} needs n >= 1")
-        if self.id in (COR6, THM7) and self.n % 2 != 0:
-            raise ValueError(f"{self.id} needs even n, got {self.n}")
 
 
 def _a(i: int, j: int) -> Polynomial:
     return Polynomial.of_var(entry(i, j))
 
 
+@functools.cache
 def build_thm1(n: int) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
     """The (n+1)x(n+1) matrix A (labels 0..n) and the n x n matrices B, C
     (labels 1..n) satisfying det A - (-1)^n det B - det C = 0.
@@ -51,6 +56,10 @@ def build_thm1(n: int) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
     (2, a[1,0], ..., a[n,0])^t, interior entries a[i,j] when i+j is even and
     lambda*a[i,0]*a[0,j] - a[i,j] otherwise;
     B[i,j] = lambda*a[i,0]*a[0,j] - a[i,j]; C[i,j] = a[i,j].
+
+    Built once per n and shared by every caller: PolyMatrix and Polynomial
+    have no mutators (with_entry, substitute and evaluate return copies), so
+    a caller cannot alter the cached matrices.
     """
     if n < 0:
         raise ValueError("n must be >= 0")

@@ -298,70 +298,55 @@ def trace_matrix(left: Sequence[Mat2], right: Sequence[Mat2], invert_right: bool
     ]
 
 
-def _require_square_gr(rows: GRMatrix) -> int:
+def _echelon(rows: GRMatrix) -> tuple[GRMatrix, list[tuple[int, int]], int]:
+    """Row-reduce a copy of the square matrix over the field, pivoting on the
+    first nonzero entry of each column and skipping columns with none.
+
+    Returns the reduced rows, the (row, col) pivot positions in order and
+    the parity of the row swaps.
+    """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise NonSquareError("matrix is not square")
-    return n
+    work = [list(r) for r in rows]
+    pivots: list[tuple[int, int]] = []
+    swaps = 0
+    for col in range(n):
+        top = len(pivots)
+        found = next((r for r in range(top, n) if work[r][col]), None)
+        if found is None:
+            continue
+        if found != top:
+            work[top], work[found] = work[found], work[top]
+            swaps ^= 1
+        piv = work[top][col]
+        for r in range(top + 1, n):
+            if work[r][col]:
+                factor = work[r][col] / piv
+                for c in range(col, n):
+                    work[r][c] = work[r][c] - factor * work[top][c]
+        pivots.append((top, col))
+    return work, pivots, swaps
 
 
 def exact_det(rows: GRMatrix) -> GaussianRational:
     """Exact determinant by Gaussian elimination over the field, pivoting on
     the first nonzero entry of each column."""
-    n = _require_square_gr(rows)
-    work = [list(r) for r in rows]
-    det = GR_ONE
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if work[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            return GR_ZERO
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            det = -det
-        pivot = work[col][col]
-        det = det * pivot
-        for r in range(col + 1, n):
-            if work[r][col]:
-                factor = work[r][col] / pivot
-                for c in range(col, n):
-                    work[r][c] = work[r][c] - factor * work[col][c]
+    work, pivots, swaps = _echelon(rows)
+    if len(pivots) < len(work):
+        return GR_ZERO
+    det = -GR_ONE if swaps else GR_ONE
+    for r, c in pivots:
+        det = det * work[r][c]
     return det
 
 
 def left_kernel(rows: GRMatrix) -> list[GaussianRational] | None:
     """A nonzero row vector v with v*M = 0, normalized so its first nonzero
     coordinate is 1; None when M has full rank."""
-    n = _require_square_gr(rows)
-    if n == 0:
-        return None
     # v*M = 0 is M^t x = 0 for the column vector x = v^t.
-    work = [[rows[r][c] for r in range(n)] for c in range(n)]
-    pivots: list[tuple[int, int]] = []
-    pivot_row = 0
-    for col in range(n):
-        found = None
-        for r in range(pivot_row, n):
-            if work[r][col]:
-                found = r
-                break
-        if found is None:
-            continue
-        if found != pivot_row:
-            work[pivot_row], work[found] = work[found], work[pivot_row]
-        piv = work[pivot_row][col]
-        for r in range(pivot_row + 1, n):
-            if work[r][col]:
-                factor = work[r][col] / piv
-                for c in range(col, n):
-                    work[r][c] = work[r][c] - factor * work[pivot_row][c]
-        pivots.append((pivot_row, col))
-        pivot_row += 1
-        if pivot_row == n:
-            break
+    work, pivots, _ = _echelon(list(zip(*rows)))
+    n = len(work)
     if len(pivots) == n:
         return None
     pivot_cols = {c for _, c in pivots}

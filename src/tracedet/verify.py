@@ -16,7 +16,17 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .exactpoly import BETA, LAMBDA, Polynomial, entry
-from .identbuild import COR5, COR6, THM3, THM7, apply_specialization, build_inner_minor, build_thm1, build_thm3
+from .identbuild import (
+    COR5,
+    COR6,
+    THM3,
+    THM7,
+    IdentityFamily,
+    apply_specialization,
+    build_inner_minor,
+    build_thm1,
+    build_thm3,
+)
 from .sl2exact import (
     GRMatrix,
     Mat2,
@@ -50,10 +60,6 @@ DEFAULT_RANGES: dict[str, tuple[int, ...]] = {
     "magnus": tuple(range(1, 7)),
     "thm2": (5, 6),
 }
-
-
-class OddSizeForSkewError(ValueError):
-    pass
 
 
 @dataclass
@@ -150,20 +156,7 @@ def _symbolic_residual_report(
         witness = _engine_mismatch_witness(dets, oracle_dets)
         if witness is not None:
             return _finish(identity, n, params, started, False, witness=witness)
-        oracle_residual = combine(oracle_dets)
-        residual = combine(dets)
-        if residual != oracle_residual:
-            return _finish(
-                identity, n, params, started, False,
-                witness={
-                    "engine_mismatch": {
-                        "residual_dp": residual.to_text(),
-                        "residual_perm": oracle_residual.to_text(),
-                    }
-                },
-            )
-    else:
-        residual = combine(dets)
+    residual = combine(dets)
     return _finish(identity, n, params, started, residual.is_zero(), residual=residual)
 
 
@@ -202,10 +195,7 @@ def verify_thm3_family(n: int, which: str = THM3) -> VerificationReport:
     started = time.perf_counter()
     if which not in (THM3, COR5, COR6, THM7):
         raise ValueError(f"unknown family member {which!r}")
-    if which in (COR6, THM7) and n % 2 != 0:
-        raise OddSizeForSkewError(f"{which} needs even n, got {n}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    IdentityFamily(which, n)
     matrices = build_thm3(n)
 
     if which == THM3:
@@ -260,6 +250,13 @@ def _sample_mat(generator: str, seed: int) -> Mat2:
     raise ValueError(f"unknown generator {generator!r}")
 
 
+def _sample_pair(generator: str, master_seed: int, n: int, t: int) -> tuple[list[Mat2], list[Mat2]]:
+    """The m_1..m_n and M_1..M_n of trial t at size n: draws k = 0..n-1 and
+    k = n..2n-1, each seeded by derive_seed(master_seed, n, t, k)."""
+    draws = [_sample_mat(generator, derive_seed(master_seed, n, t, k)) for k in range(2 * n)]
+    return draws[:n], draws[n:]
+
+
 def verify_magnus_numeric(
     n: int, trials: int, master_seed: int, generator: str = SL2Z
 ) -> VerificationReport:
@@ -272,8 +269,7 @@ def verify_magnus_numeric(
     if n < 1:
         raise ValueError("n must be >= 1")
     for t in range(trials):
-        ms = [_sample_mat(generator, derive_seed(master_seed, n, t, k)) for k in range(n)]
-        big = [_sample_mat(generator, derive_seed(master_seed, n, t, n + k)) for k in range(n)]
+        ms, big = _sample_pair(generator, master_seed, n, t)
         a_mat, b_mat, c_mat = build_magnus_matrices(ms, big)
         det_a = exact_det(a_mat)
         det_b = exact_det(b_mat)
@@ -303,8 +299,7 @@ def verify_magnus_original(trials: int, master_seed: int) -> VerificationReport:
     started = time.perf_counter()
     params = {"trials": trials, "seed": master_seed}
     for t in range(trials):
-        ms = [random_sl2z(DEFAULT_WORD_LEN, derive_seed(master_seed, 4, t, k)) for k in range(4)]
-        big = [random_sl2z(DEFAULT_WORD_LEN, derive_seed(master_seed, 4, t, 4 + k)) for k in range(4)]
+        ms, big = _sample_pair(SL2Z, master_seed, 4, t)
         det_mm_cross = exact_det(trace_matrix(ms, big))
         det_mm_inv = exact_det(trace_matrix(ms, big, invert_right=True))
         det_mm = exact_det(trace_matrix(ms, ms))
@@ -381,8 +376,7 @@ def verify_thm2(
         return None
 
     if eps_mode == "exhaustive":
-        ms = [random_sl2z(DEFAULT_WORD_LEN, derive_seed(master_seed, n, 0, k)) for k in range(n)]
-        big = [random_sl2z(DEFAULT_WORD_LEN, derive_seed(master_seed, n, 0, n + k)) for k in range(n)]
+        ms, big = _sample_pair(SL2Z, master_seed, n, 0)
         for eps in itertools.product((1, -1), repeat=n):
             witness = run_case(ms, big, eps, f"eps={eps}")
             if witness is not None:
@@ -390,8 +384,7 @@ def verify_thm2(
         params["cases"] = 2 ** n
     else:
         for t in range(trials):
-            ms = [random_sl2z(DEFAULT_WORD_LEN, derive_seed(master_seed, n, t, k)) for k in range(n)]
-            big = [random_sl2z(DEFAULT_WORD_LEN, derive_seed(master_seed, n, t, n + k)) for k in range(n)]
+            ms, big = _sample_pair(SL2Z, master_seed, n, t)
             rng = random.Random(derive_seed(master_seed, n, t, 2 * n))
             eps = tuple(rng.choice((1, -1)) for _ in range(n))
             witness = run_case(ms, big, eps, f"trial={t}")

@@ -55,6 +55,8 @@ def test_usage_errors(capsys):
     assert run(["verify", "thm1", "--n", "8"]) == 2
     assert run(["verify", "thm3", "--n", "9"]) == 2
     capsys.readouterr()
+    assert run(["verify", "thm7", "--n", "0"]) == 2
+    assert "even n >= 2" in capsys.readouterr().err
 
 
 def test_size_bound_accepts_largest_n():
@@ -77,6 +79,15 @@ def test_out_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     reports = json.loads(target.read_text())
     assert reports[0]["identity"] == "cor5"
+
+
+def test_out_into_missing_directory(tmp_path, capsys):
+    target = tmp_path / "missing" / "r.json"
+    assert run(["verify", "thm1", "--n", "1", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == f"tracedet: cannot write {target}: No such file or directory"
+    assert not target.exists()
 
 
 def _normalized_json(out: str) -> str:

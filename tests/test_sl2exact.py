@@ -1,6 +1,7 @@
 """Exact Gaussian-rational arithmetic, SL(2) samplers, trace matrices, and
 exact linear algebra."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -239,6 +240,84 @@ def test_exact_det_non_square():
     assert NonSquareError is symmat.NonSquareError
     with pytest.raises(NonSquareError):
         exact_det([[GR_ONE, GR_ZERO]])
+
+
+def leibniz_det(rows):
+    """Reference determinant: the signed permutation sum, for n <= 4."""
+    n = len(rows)
+    assert n <= 4
+    total = GR_ZERO
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = GR_ONE if inversions % 2 == 0 else -GR_ONE
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total + term
+    return total
+
+
+def _random_gr(rng):
+    return gr(Fraction(rng.randint(-5, 5), rng.randint(1, 4)), Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+
+
+def _matmul(x, y):
+    return [[sum((a * b for a, b in zip(row, col)), GR_ZERO) for col in zip(*y)] for row in x]
+
+
+def _assert_kernel(rows):
+    v = left_kernel(rows)
+    assert v is not None
+    assert next(x for x in v if x) == GR_ONE
+    assert not any(mat_mul_vec_left(v, rows))
+
+
+def test_exact_det_matches_leibniz_on_random_matrices():
+    rng = random.Random(16)
+    for n in range(5):
+        for _ in range(10):
+            rows = [[_random_gr(rng) for _ in range(n)] for _ in range(n)]
+            assert exact_det(rows) == leibniz_det(rows)
+
+
+def test_rank_deficient_products_det_and_kernel():
+    # (n x r)(r x n) with r < n has rank at most r, so det is 0 and a left
+    # kernel vector exists.
+    rng = random.Random(17)
+    for n in range(1, 5):
+        for r in range(n):
+            for _ in range(5):
+                left = [[_random_gr(rng) for _ in range(r)] for _ in range(n)]
+                right = [[_random_gr(rng) for _ in range(n)] for _ in range(r)]
+                rows = _matmul(left, right) if r else [[GR_ZERO] * n for _ in range(n)]
+                assert exact_det(rows) == leibniz_det(rows) == GR_ZERO
+                _assert_kernel(rows)
+
+
+def test_zero_middle_column_is_skipped():
+    rng = random.Random(18)
+    for n in (3, 4):
+        for _ in range(5):
+            rows = [[_random_gr(rng) for _ in range(n)] for _ in range(n)]
+            for row in rows:
+                row[1] = GR_ZERO
+            assert exact_det(rows) == leibniz_det(rows) == GR_ZERO
+            _assert_kernel(rows)
+            # left_kernel eliminates the transpose, so this takes the skip.
+            _assert_kernel([list(col) for col in zip(*rows)])
+
+
+def test_zero_first_row_kernel_is_first_unit_vector():
+    rng = random.Random(19)
+    rows = [[GR_ZERO] * 3] + [[_random_gr(rng) for _ in range(3)] for _ in range(2)]
+    assert exact_det(rows) == GR_ZERO
+    assert left_kernel(rows) == [GR_ONE, GR_ZERO, GR_ZERO]
+
+
+def test_left_kernel_non_square():
+    with pytest.raises(NonSquareError):
+        left_kernel([[GR_ONE, GR_ZERO]])
+    with pytest.raises(NonSquareError):
+        left_kernel([[GR_ONE], [GR_ZERO]])
 
 
 def test_rank_one_matrix_kernel():

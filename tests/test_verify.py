@@ -3,10 +3,11 @@
 import pytest
 
 from tracedet.exactpoly import Polynomial
+from tracedet.identbuild import build_thm1
+from tracedet.symmat import OddSizeError
 from tracedet.verify import (
     FAIL,
     PASS,
-    OddSizeForSkewError,
     derive_seed,
     verify_magnus_numeric,
     verify_magnus_original,
@@ -38,6 +39,15 @@ def test_verify_thm1_mutation_hook_fails():
     assert not Polynomial.from_text(r.residual).is_zero()
 
 
+def test_thm1_built_once_and_not_mutated_by_the_hook():
+    assert build_thm1(3) is build_thm1(3)
+    b11 = build_thm1(3)[1].entry(1, 1)
+    assert verify_thm1(3, corrupt_sign=True).status == FAIL
+    assert verify_thm1(3).status == PASS
+    assert build_thm1(3)[1].entry(1, 1) == b11
+    assert b11.to_text() == "1*lambda*a[0,1]*a[1,0] + -1*a[1,1]"
+
+
 @pytest.mark.parametrize("which,n", [
     ("thm3", 1), ("thm3", 3), ("cor5", 2), ("cor5", 3), ("cor6", 2),
     ("cor6", 4), ("thm7", 2), ("thm7", 4),
@@ -49,9 +59,9 @@ def test_verify_thm3_family_passes(which, n):
 
 
 def test_verify_thm3_family_odd_skew_rejected():
-    with pytest.raises(OddSizeForSkewError):
+    with pytest.raises(OddSizeError):
         verify_thm3_family(3, "cor6")
-    with pytest.raises(OddSizeForSkewError):
+    with pytest.raises(OddSizeError):
         verify_thm3_family(5, "thm7")
 
 
