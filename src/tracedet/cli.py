@@ -42,6 +42,10 @@ DEFAULT_TRIALS = 100
 DEFAULT_TRACE_TRIALS = 1000
 DEFAULT_SEED = 42
 DEFAULT_MAX_N = 6
+# thm2 --eps exhaustive runs 2^n sign vectors.  On one 2.1 GHz Xeon core
+# (Python 3.11) n = 9 took 11 s and n = 10 took 32 s; each further n costs
+# about 2.5 times more.
+THM2_EXHAUSTIVE_MAX_N = 10
 
 
 @dataclass
@@ -100,8 +104,11 @@ def _validated_config(parser: argparse.ArgumentParser, args: argparse.Namespace)
         maximum = DET_DP_SIZE_BOUND - 1 if target == THM1 else DET_DP_SIZE_BOUND
         if args.n > maximum:
             parser.error(f"--n must be <= {maximum} for {target}")
-    elif args.n is not None and target in ("magnus", "thm2") and args.n < 1:
-        parser.error(f"--n must be >= 1 for {target}")
+    elif args.n is not None and target in ("magnus", "thm2"):
+        if args.n < 1:
+            parser.error(f"--n must be >= 1 for {target}")
+        if target == "thm2" and args.eps == "exhaustive" and args.n > THM2_EXHAUSTIVE_MAX_N:
+            parser.error(f"--n must be <= {THM2_EXHAUSTIVE_MAX_N} for thm2 --eps exhaustive")
     if target in ("magnus-original", "trace") and args.n is not None:
         parser.error(f"--n is not valid for {target}")
     trials = args.trials

@@ -4,11 +4,22 @@ The variable universe is fixed: doubly indexed entries a[i,j] plus the two
 scalar indeterminates lambda and beta.  Polynomials are stored canonically
 (no zero coefficients), so equality of canonical forms is ring equality and
 zero-testing never needs randomized evaluation.
+
+Internally each variable gets a small integer id the first time it is used,
+and a monomial is the ascending tuple of its factors' ids, each id repeated
+by its exponent: if lambda has id 0 and a[1,0] id 5, lambda^2*a[1,0] is
+(0, 0, 5).  Hashing, comparing and multiplying monomials then run on int
+tuples in C.  Ids follow first use, not the variable order, so everything
+that leaves this module (``terms``, ``variables``, ``to_text``) is decoded
+back to PolyVar and ordered by variable; no result depends on the order in
+which ids were handed out.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
+import threading
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -51,47 +62,63 @@ def entry(i: int, j: int) -> PolyVar:
     return PolyVar(_KIND_ENTRY, i, j)
 
 
-# A monomial is a tuple of (variable, positive exponent) pairs sorted by
+# The public monomial form: (variable, positive exponent) pairs sorted by
 # ascending variable; the empty tuple is the unit monomial.
 Monomial = tuple[tuple[PolyVar, int], ...]
 
-_UNIT: Monomial = ()
+# The stored form: ascending variable ids, each repeated by its exponent.
+_IdMonomial = tuple[int, ...]
+
+# The variable intern table, shared by the whole process.  It only grows and
+# a variable's id never changes, so sharing it cannot alter any result; the
+# lock keeps two threads from giving one variable two ids.
+_VARS: list[PolyVar] = []
+_IDS: dict[PolyVar, int] = {}
+_INTERN_LOCK = threading.Lock()
 
 
-def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    out: list[tuple[PolyVar, int]] = []
-    i = j = 0
-    while i < len(m1) and j < len(m2):
-        v1, e1 = m1[i]
-        v2, e2 = m2[j]
-        if v1 == v2:
-            out.append((v1, e1 + e2))
-            i += 1
-            j += 1
-        elif v1 < v2:
-            out.append(m1[i])
-            i += 1
-        else:
-            out.append(m2[j])
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    return tuple(out)
+def _var_id(v: PolyVar) -> int:
+    vid = _IDS.get(v)
+    if vid is None:
+        with _INTERN_LOCK:
+            vid = _IDS.get(v)
+            if vid is None:
+                vid = len(_VARS)
+                _VARS.append(v)
+                _IDS[v] = vid
+    return vid
 
 
-def _mono_degree(mono: Monomial) -> int:
-    return sum(e for _, e in mono)
+def _encode(pairs) -> _IdMonomial:
+    return tuple(sorted(vid for v, e in pairs for vid in [_var_id(v)] * e))
+
+
+def _decode(mono: _IdMonomial) -> Monomial:
+    return tuple(sorted((_VARS[vid], len(list(run))) for vid, run in itertools.groupby(mono)))
 
 
 def _mono_key(mono: Monomial):
     # Graded lexicographic: total degree first, then compare exponents from
     # the largest variable downward (higher exponent on the larger variable
     # wins).  Reversing the ascending-sorted pairs gives exactly that.
-    return (_mono_degree(mono), tuple(reversed(mono)))
+    return (sum(e for _, e in mono), tuple(reversed(mono)))
+
+
+def _mul_into(
+    out: dict[_IdMonomial, int], t1: dict[_IdMonomial, int], t2: dict[_IdMonomial, int]
+) -> None:
+    """out += t1 * t2 on term dicts; out stays canonical."""
+    get = out.get
+    items2 = t2.items()
+    for m1, c1 in t1.items():
+        for m2, c2 in items2:
+            mono = tuple(sorted(m1 + m2))
+            new = get(mono, 0) + c1 * c2
+            if new:
+                out[mono] = new
+            else:
+                # c1*c2 != 0, so a zero sum means mono was already present.
+                del out[mono]
 
 
 _TOKEN_RE = re.compile(r"^(lambda|beta|a\[(\d+),(\d+)\])(?:\^(\d+))?$")
@@ -104,24 +131,31 @@ class Polynomial:
     __hash__ = None  # value equality without hashability
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        clean: dict[Monomial, int] = {}
+        clean: dict[_IdMonomial, int] = {}
         if terms:
-            for mono, coeff in terms.items():
-                if coeff:
-                    clean[mono] = coeff
-        self._terms = clean
+            for pairs, coeff in terms.items():
+                mono = _encode(pairs)
+                clean[mono] = clean.get(mono, 0) + coeff
+        self._terms = {m: c for m, c in clean.items() if c}
+
+    @classmethod
+    def _wrap(cls, terms: dict[_IdMonomial, int]) -> "Polynomial":
+        # Adopts an already canonical term dict without copying it.
+        result = cls.__new__(cls)
+        result._terms = terms
+        return result
 
     @classmethod
     def of_int(cls, c: int) -> "Polynomial":
-        return cls({_UNIT: c} if c else None)
+        return cls._wrap({(): c} if c else {})
 
     @classmethod
     def of_var(cls, v: PolyVar) -> "Polynomial":
-        return cls({((v, 1),): 1})
+        return cls._wrap({(_var_id(v),): 1})
 
     @classmethod
     def zero(cls) -> "Polynomial":
-        return cls()
+        return cls._wrap({})
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -130,7 +164,8 @@ class Polynomial:
         return bool(self._terms)
 
     def terms(self) -> Iterator[tuple[Monomial, int]]:
-        return iter(self._terms.items())
+        """(monomial, coefficient) pairs, monomials in the public form."""
+        return ((_decode(m), c) for m, c in self._terms.items())
 
     def num_terms(self) -> int:
         return len(self._terms)
@@ -153,16 +188,12 @@ class Polynomial:
                 out[mono] = new
             elif mono in out:
                 del out[mono]
-        result = Polynomial.__new__(Polynomial)
-        result._terms = out
-        return result
+        return Polynomial._wrap(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        result = Polynomial.__new__(Polynomial)
-        result._terms = {m: -c for m, c in self._terms.items()}
-        return result
+        return Polynomial._wrap({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         other = _coerce(other)
@@ -180,18 +211,9 @@ class Polynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[Monomial, int] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = _mono_mul(m1, m2)
-                new = out.get(mono, 0) + c1 * c2
-                if new:
-                    out[mono] = new
-                elif mono in out:
-                    del out[mono]
-        result = Polynomial.__new__(Polynomial)
-        result._terms = out
-        return result
+        out: dict[_IdMonomial, int] = {}
+        _mul_into(out, self._terms, other._terms)
+        return Polynomial._wrap(out)
 
     __rmul__ = __mul__
 
@@ -215,10 +237,9 @@ class Polynomial:
         total = None
         for mono, coeff in self._terms.items():
             term = None
-            for var, exp in mono:
-                x = point[var]
-                for _ in range(exp):
-                    term = x if term is None else term * x
+            for vid in mono:
+                x = point[_VARS[vid]]
+                term = x if term is None else term * x
             # Unit coefficients are the common case; scaling costs a ring product.
             if term is None:
                 term = one * coeff
@@ -240,33 +261,22 @@ class Polynomial:
         """The polynomial q_k in p = sum_k q_k * v^k; v is absent from it."""
         if k < 0:
             raise ValueError("power must be non-negative")
-        out: dict[Monomial, int] = {}
+        vid = _IDS.get(v)  # None when v was never used: no term contains it
+        out: dict[_IdMonomial, int] = {}
         for mono, coeff in self._terms.items():
-            exp = 0
-            stripped = mono
-            for idx, (var, e) in enumerate(mono):
-                if var == v:
-                    exp = e
-                    stripped = mono[:idx] + mono[idx + 1:]
-                    break
+            exp = mono.count(vid)
             if exp == k:
-                out[stripped] = out.get(stripped, 0) + coeff
-        return Polynomial(out)
+                # Distinct monomials with the same v-exponent stay distinct
+                # once v is removed, so nothing merges here.
+                out[tuple(x for x in mono if x != vid) if exp else mono] = coeff
+        return Polynomial._wrap(out)
 
     def degree_in_var(self, v: PolyVar) -> int:
-        best = 0
-        for mono, _ in self._terms.items():
-            for var, e in mono:
-                if var == v and e > best:
-                    best = e
-        return best
+        vid = _IDS.get(v)
+        return max((mono.count(vid) for mono in self._terms), default=0)
 
     def variables(self) -> set[PolyVar]:
-        seen: set[PolyVar] = set()
-        for mono in self._terms:
-            for var, _ in mono:
-                seen.add(var)
-        return seen
+        return {_VARS[vid] for mono in self._terms for vid in mono}
 
     def to_text(self) -> str:
         """Canonical text form: descending monomial order, explicit integer
@@ -276,7 +286,7 @@ class Polynomial:
         if not self._terms:
             return "0"
         parts = []
-        for mono, coeff in sorted(self._terms.items(), key=lambda t: _mono_key(t[0]), reverse=True):
+        for mono, coeff in sorted(self.terms(), key=lambda t: _mono_key(t[0]), reverse=True):
             factors = [str(coeff)]
             for var, exp in mono:
                 factors.append(var.render() if exp == 1 else f"{var.render()}^{exp}")
@@ -289,7 +299,7 @@ class Polynomial:
         text = text.strip()
         if text == "0":
             return cls.zero()
-        total = cls.zero()
+        terms: dict[Monomial, int] = {}
         for raw_term in text.split("+"):
             tokens = [t.strip() for t in raw_term.strip().split("*")]
             if not tokens or not tokens[0]:
@@ -309,11 +319,29 @@ class Polynomial:
                     var = entry(int(si), int(sj))
                 exps[var] = exps.get(var, 0) + (int(sexp) if sexp else 1)
             mono = tuple(sorted(exps.items()))
-            total = total + cls({mono: coeff})
-        return total
+            terms[mono] = terms.get(mono, 0) + coeff
+        return cls(terms)
 
     def __repr__(self) -> str:
         return self.to_text()
+
+
+def _add_product(acc: Polynomial, sign: int, *factors: Polynomial) -> None:
+    """acc += sign * factors[0] * ... * factors[-1], in place; the usual call
+    is acc += sign*e*f.
+
+    The accumulation step of the determinant and Pfaffian engines: the
+    leading factors are multiplied out first, and the product with the last
+    one goes straight into acc's term dict, with no temporary polynomial and
+    no copying ``+``.  Stops at the first zero partial product.  acc must be
+    an accumulator its caller owns, and none of the factors.
+    """
+    head = Polynomial.of_int(sign)
+    for f in factors[:-1]:
+        head = head * f
+        if not head:
+            return
+    _mul_into(acc._terms, head._terms, factors[-1]._terms if factors else {(): 1})
 
 
 def _coerce(value) -> Polynomial:

@@ -303,7 +303,9 @@ def _echelon(rows: GRMatrix) -> tuple[GRMatrix, list[tuple[int, int]], int]:
     first nonzero entry of each column and skipping columns with none.
 
     Returns the reduced rows, the (row, col) pivot positions in order and
-    the parity of the row swaps.
+    the parity of the row swaps.  The pivots and the entries right of each
+    pivot are exact; entries below a pivot are left unspecified, because
+    neither the determinant nor the back-substitution reads them.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
@@ -323,7 +325,7 @@ def _echelon(rows: GRMatrix) -> tuple[GRMatrix, list[tuple[int, int]], int]:
         for r in range(top + 1, n):
             if work[r][col]:
                 factor = work[r][col] / piv
-                for c in range(col, n):
+                for c in range(col + 1, n):
                     work[r][c] = work[r][c] - factor * work[top][c]
         pivots.append((top, col))
     return work, pivots, swaps

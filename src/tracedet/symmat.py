@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .exactpoly import LAMBDA, Polynomial, PolyVar
+from .exactpoly import LAMBDA, Polynomial, PolyVar, _add_product
 
 DET_DP_SIZE_BOUND = 8
 DET_PERM_SIZE_BOUND = 7
@@ -192,7 +192,10 @@ def det_dp(m: PolyMatrix, size_bound: int | None = None) -> Polynomial:
     """Determinant by Laplace expansion along rows with minors memoized per
     column subset (dynamic programming over bitmasks).
 
-    The empty 0x0 matrix has determinant 1.
+    Built bottom-up by row count: layer k maps the column mask of each k x k
+    minor on the last k rows to its value and needs only layer k-1, so at
+    most two layers are alive at once.  The empty 0x0 matrix has
+    determinant 1.
     """
     n = _require_square(m)
     bound = DET_DP_SIZE_BOUND if size_bound is None else size_bound
@@ -200,27 +203,24 @@ def det_dp(m: PolyMatrix, size_bound: int | None = None) -> Polynomial:
         raise SizeExceededError(f"size {n} exceeds det_dp bound {bound}")
     rows = m.row_labels
     cols = m.col_labels
-    memo: dict[int, Polynomial] = {0: Polynomial.of_int(1)}
-
-    def minor(mask: int) -> Polynomial:
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        r = rows[n - bin(mask).count("1")]
-        total = Polynomial.zero()
-        sign = 1
-        for pos in range(n):
-            bit = 1 << pos
-            if mask & bit:
-                e = m.entry(r, cols[pos])
-                if e:
-                    sub = minor(mask & ~bit)
-                    total = total + (e * sub if sign > 0 else -(e * sub))
-                sign = -sign
-        memo[mask] = total
-        return total
-
-    return minor((1 << n) - 1)
+    masks_by_size: list[list[int]] = [[] for _ in range(n + 1)]
+    for mask in range(1 << n):
+        masks_by_size[bin(mask).count("1")].append(mask)
+    layer: dict[int, Polynomial] = {0: Polynomial.of_int(1)}
+    for k in range(1, n + 1):
+        row = [m.entry(rows[n - k], c) for c in cols]
+        below = layer
+        layer = {}
+        for mask in masks_by_size[k]:
+            total = Polynomial.zero()
+            sign = 1
+            for pos in range(n):
+                bit = 1 << pos
+                if mask & bit:
+                    _add_product(total, sign, row[pos], below[mask & ~bit])
+                    sign = -sign
+            layer[mask] = total
+    return layer[(1 << n) - 1]
 
 
 def det_perm_oracle(m: PolyMatrix, size_bound: int | None = None) -> Polynomial:
@@ -233,18 +233,10 @@ def det_perm_oracle(m: PolyMatrix, size_bound: int | None = None) -> Polynomial:
     bound = DET_PERM_SIZE_BOUND if size_bound is None else size_bound
     if n > bound:
         raise SizeExceededError(f"size {n} exceeds det_perm_oracle bound {bound}")
-    rows = m.row_labels
-    cols = m.col_labels
+    grid = [[m.entry(r, c) for c in m.col_labels] for r in m.row_labels]
     total = Polynomial.zero()
     for perm in itertools.permutations(range(n)):
-        prod = Polynomial.of_int(perm_sign(perm))
-        for i in range(n):
-            e = m.entry(rows[i], cols[perm[i]])
-            if not e:
-                prod = Polynomial.zero()
-                break
-            prod = prod * e
-        total = total + prod
+        _add_product(total, perm_sign(perm), *(grid[i][perm[i]] for i in range(n)))
     return total
 
 
@@ -285,15 +277,11 @@ def det_signed_perm_expansion(
         for k in range(len(correctable) + 1):
             for flipped in itertools.combinations(correctable, k):
                 flipped_set = set(flipped)
-                weight = Polynomial.of_int(sgn)
-                for idx, i in enumerate(labels):
-                    if idx in flipped_set:
-                        weight = weight * (-(lam * correction[i] * correction[image[idx]]))
-                    else:
-                        weight = weight * base.entry(i, image[idx])
-                    if not weight:
-                        break
-                total = total + weight
+                _add_product(total, sgn, *(
+                    -(lam * correction[i] * correction[image[idx]])
+                    if idx in flipped_set else base.entry(i, image[idx])
+                    for idx, i in enumerate(labels)
+                ))
     return total
 
 
@@ -375,20 +363,12 @@ def pfaffian_split(m: PolyMatrix) -> tuple[Polynomial, Polynomial]:
     even_part = Polynomial.zero()
     odd_part = Polynomial.zero()
     for matching in perfect_matchings(labels):
-        term = Polynomial.of_int(matching_sign(matching) * norm)
-        partner = None
-        for i, j in matching:
-            if i == first:
-                partner = j
-            elif j == first:
-                partner = i
-            term = term * m.entry(i, j)
-            if not term:
-                break
+        partner = next((j if i == first else i for i, j in matching if first in (i, j)), None)
         if partner is None:
             raise AssertionError("matching does not cover the smallest label")
-        if partner % 2 == 0:
-            even_part = even_part + term
-        else:
-            odd_part = odd_part + term
+        _add_product(
+            even_part if partner % 2 == 0 else odd_part,
+            matching_sign(matching) * norm,
+            *(m.entry(i, j) for i, j in matching),
+        )
     return even_part, odd_part

@@ -54,6 +54,8 @@ def test_usage_errors(capsys):
     assert run(["verify", "thm1", "--trials", "0"]) == 2
     assert run(["verify", "thm1", "--n", "8"]) == 2
     assert run(["verify", "thm3", "--n", "9"]) == 2
+    too_many_signs = str(cli.THM2_EXHAUSTIVE_MAX_N + 1)
+    assert run(["verify", "thm2", "--n", too_many_signs, "--eps", "exhaustive"]) == 2
     capsys.readouterr()
     assert run(["verify", "thm7", "--n", "0"]) == 2
     assert "even n >= 2" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Determinant engine cross-checks, signed-permutation expansions, and
 Pfaffian/perfect-matching behaviour."""
 
+import gc
 import random
 
 import pytest
@@ -138,6 +139,19 @@ def test_size_bounds_enforced():
     with pytest.raises(SizeExceededError):
         det_perm_oracle(generic_matrix(8))
     assert det_perm_oracle(generic_matrix(8), size_bound=8) == det_dp(generic_matrix(8))
+
+
+def test_det_dp_leaves_no_garbage_cycles():
+    # The minors must be freed by reference counting when det_dp returns; a
+    # memo reachable from a cycle would stay alive until a cyclic collection.
+    m = generic_matrix(6)
+    gc.collect()
+    gc.disable()
+    try:
+        det_dp(m)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def correction_map(n):
