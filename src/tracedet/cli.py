@@ -6,7 +6,8 @@ Grammar:
         [--generator {sl2z,gaussian}] [--eps {random,exhaustive}]
         [--format {text,json}] [--out PATH]
 
-Exit codes: 0 all checks pass, 1 some check failed, 2 usage error.
+Exit codes: 0 all checks pass, 1 some check failed, 2 usage error (including
+a size range that leaves nothing to check).
 """
 
 from __future__ import annotations
@@ -42,10 +43,19 @@ DEFAULT_TRIALS = 100
 DEFAULT_TRACE_TRIALS = 1000
 DEFAULT_SEED = 42
 DEFAULT_MAX_N = 6
-# thm2 --eps exhaustive runs 2^n sign vectors.  On one 2.1 GHz Xeon core
-# (Python 3.11) n = 9 took 11 s and n = 10 took 32 s; each further n costs
-# about 2.5 times more.
+# Upper bounds that keep one command line from running without bound.  The
+# costs were measured on one 2.1 GHz Xeon core (Python 3.11).
+# thm2 --eps exhaustive runs 2^n sign vectors: n = 9 took 11 s and n = 10
+# took 32 s; each further n costs about 2.5 times more.
 THM2_EXHAUSTIVE_MAX_N = 10
+# One magnus trial took 0.16 s at n = 16 and 0.34 s at n = 24 (thm1's
+# matrices evaluated at a trace point and three exact determinants).
+MAGNUS_MAX_N = 24
+# One random-sign thm2 trial took 0.11 s at n = 16 and 0.25 s at n = 24.
+THM2_RANDOM_MAX_N = 24
+# Trials per check: 1000 trace trials took 4.7 s (sl2z) and 0.95 s
+# (gaussian); 10^4 magnus trials at n = 24 would take about an hour.
+MAX_TRIALS = 10_000
 
 
 @dataclass
@@ -90,8 +100,8 @@ def _validated_config(parser: argparse.ArgumentParser, args: argparse.Namespace)
         parser.error("--n and --max-n are mutually exclusive")
     if args.n is not None and target == "all":
         parser.error("--n is not valid with 'all'; use --max-n")
-    if args.trials is not None and args.trials < 1:
-        parser.error("--trials must be >= 1")
+    if args.trials is not None and not 1 <= args.trials <= MAX_TRIALS:
+        parser.error(f"--trials must be between 1 and {MAX_TRIALS}")
     if args.max_n is not None and args.max_n < 0:
         parser.error("--max-n must be >= 0")
     if args.n is not None and target in FAMILY_IDS:
@@ -107,8 +117,14 @@ def _validated_config(parser: argparse.ArgumentParser, args: argparse.Namespace)
     elif args.n is not None and target in ("magnus", "thm2"):
         if args.n < 1:
             parser.error(f"--n must be >= 1 for {target}")
-        if target == "thm2" and args.eps == "exhaustive" and args.n > THM2_EXHAUSTIVE_MAX_N:
-            parser.error(f"--n must be <= {THM2_EXHAUSTIVE_MAX_N} for thm2 --eps exhaustive")
+        if target == "magnus":
+            maximum, what = MAGNUS_MAX_N, target
+        elif args.eps == "exhaustive":
+            maximum, what = THM2_EXHAUSTIVE_MAX_N, "thm2 --eps exhaustive"
+        else:
+            maximum, what = THM2_RANDOM_MAX_N, target
+        if args.n > maximum:
+            parser.error(f"--n must be <= {maximum} for {what}")
     if target in ("magnus-original", "trace") and args.n is not None:
         parser.error(f"--n is not valid for {target}")
     trials = args.trials
@@ -140,7 +156,7 @@ Job = Callable[[], VerificationReport]
 def build_jobs(cfg: CliConfig) -> list[Job]:
     jobs: list[Job] = []
     target = cfg.target
-    generator = cfg.generator
+    gens = (cfg.generator,) if cfg.generator else (SL2Z, GAUSSIAN) if target == "all" else (SL2Z,)
 
     def add_family(family: str):
         if family == "thm1":
@@ -150,24 +166,24 @@ def build_jobs(cfg: CliConfig) -> list[Job]:
             for n in _sizes(cfg, family):
                 jobs.append(lambda n=n, f=family: verify_thm3_family(n, f))
         elif family == "magnus":
-            gens = (generator,) if generator else (SL2Z, GAUSSIAN) if target == "all" else (SL2Z,)
             for gen in gens:
                 for n in _sizes(cfg, "magnus"):
                     jobs.append(lambda n=n, g=gen: verify_magnus_numeric(n, cfg.trials, cfg.master_seed, g))
         elif family == "magnus-original":
             jobs.append(lambda: verify_magnus_original(cfg.trials, cfg.master_seed))
         elif family == "thm2":
+            # Exhaustive mode sweeps 2^n sign vectors, so without --n it runs
+            # the smallest size in range only.
+            sizes = _sizes(cfg, "thm2")
             if target == "all":
-                for n in _sizes(cfg, "thm2"):
+                for n in sizes:
                     jobs.append(lambda n=n: verify_thm2(n, cfg.trials, cfg.master_seed, "random"))
-                if cfg.max_n >= 5:
-                    jobs.append(lambda: verify_thm2(5, 1, cfg.master_seed, "exhaustive"))
+                for n in sizes[:1]:
+                    jobs.append(lambda n=n: verify_thm2(n, 1, cfg.master_seed, "exhaustive"))
             else:
-                ns = (cfg.n,) if cfg.n is not None else ((5,) if cfg.eps_mode == "exhaustive" else _sizes(cfg, "thm2"))
-                for n in ns:
+                for n in sizes[:1] if cfg.eps_mode == "exhaustive" else sizes:
                     jobs.append(lambda n=n: verify_thm2(n, cfg.trials, cfg.master_seed, cfg.eps_mode))
         elif family == "trace":
-            gens = (generator,) if generator else (SL2Z, GAUSSIAN) if target == "all" else (SL2Z,)
             for gen in gens:
                 jobs.append(lambda g=gen: verify_trace_relation(cfg.trials, cfg.master_seed, g))
 
@@ -217,6 +233,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _validated_config(parser, args)
+        jobs = build_jobs(cfg)
+        if not jobs:
+            parser.error(f"--max-n {cfg.max_n} leaves no {cfg.target} size to check")
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
@@ -229,7 +248,7 @@ def run(argv: Sequence[str] | None = None) -> int:
             print(f"tracedet: cannot write {cfg.out_path}: {exc.strerror or exc}", file=sys.stderr)
             return 2
     with out as handle:
-        reports = [job() for job in build_jobs(cfg)]
+        reports = [job() for job in jobs]
         handle.write(render_report(reports, cfg.out_format) + "\n")
     return 0 if all(r.passed for r in reports) else 1
 

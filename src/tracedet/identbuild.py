@@ -5,8 +5,7 @@ identities (thm1, thm3) and their specializations (cor5, cor6, thm7).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 from .exactpoly import BETA, LAMBDA, Polynomial, PolyVar, entry
 from .symmat import OddSizeError, PolyMatrix
@@ -22,11 +21,11 @@ FAMILY_IDS = (THM1, THM3, COR5, COR6, THM7)
 
 @dataclass(frozen=True)
 class IdentityFamily:
-    """Dispatch key for one identity instance: family id plus size."""
+    """The size check of one identity instance: constructing it raises
+    unless n is a valid size for the family id."""
 
     id: str
     n: int
-    options: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.id not in FAMILY_IDS:

@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .exactpoly import LAMBDA, PolyVar, entry
 from .identbuild import build_thm1
-from .symmat import NonSquareError
+from .symmat import NonSquareError, PolyMatrix
 
 
 class SingularError(ZeroDivisionError):
@@ -220,21 +220,24 @@ def random_sl2_gaussian(
 GRMatrix = list[list[GaussianRational]]
 
 
-def _require_unimodular(mats: Sequence[Mat2], what: str) -> None:
-    for idx, m in enumerate(mats):
-        if not m.is_unimodular():
-            raise NotUnimodularError(f"{what}[{idx}] has determinant {m.det()!r}")
-
-
-def _trace_point(ms: Sequence[Mat2], big_ms: Sequence[Mat2]) -> dict[PolyVar, GaussianRational]:
-    """The point at which thm1's matrices become trace matrices: lambda = 1,
-    a[i,0] = tr m_i, a[0,j] = tr M_j and a[i,j] = tr(m_i M_j^-1)."""
+def _thm1_at_trace_point(
+    ms: Sequence[Mat2], big_ms: Sequence[Mat2]
+) -> tuple[tuple[PolyMatrix, PolyMatrix, PolyMatrix], dict[PolyVar, GaussianRational]]:
+    """thm1's matrices for n = len(ms) and the point at which they become
+    trace matrices: lambda = 1, a[i,0] = tr m_i, a[0,j] = tr M_j and
+    a[i,j] = tr(m_i M_j^-1).  The samples must pair up and be unimodular."""
+    if len(ms) != len(big_ms):
+        raise LengthMismatchError(f"{len(ms)} m's vs {len(big_ms)} M's")
+    for what, mats in (("m", ms), ("M", big_ms)):
+        for idx, m in enumerate(mats):
+            if not m.is_unimodular():
+                raise NotUnimodularError(f"{what}[{idx}] has determinant {m.det()!r}")
     point = {LAMBDA: GR_ONE}
     point.update((entry(0, j), big.trace()) for j, big in enumerate(big_ms, 1))
     for i, (m, row) in enumerate(zip(ms, trace_matrix(ms, big_ms, invert_right=True)), 1):
         point[entry(i, 0)] = m.trace()
         point.update((entry(i, j), x) for j, x in enumerate(row, 1))
-    return point
+    return build_thm1(len(ms)), point
 
 
 def build_magnus_matrices(
@@ -248,12 +251,7 @@ def build_magnus_matrices(
     sign, so the identity reads det A = det B + det C.  A, -B and C are
     thm1's matrices at the trace point, by tr(mM) = tr m tr M - tr(mM^-1).
     """
-    if len(ms) != len(big_ms):
-        raise LengthMismatchError(f"{len(ms)} m's vs {len(big_ms)} M's")
-    _require_unimodular(ms, "m")
-    _require_unimodular(big_ms, "M")
-    a_poly, b_poly, c_poly = build_thm1(len(ms))
-    point = _trace_point(ms, big_ms)
+    (a_poly, b_poly, c_poly), point = _thm1_at_trace_point(ms, big_ms)
     return (
         a_poly.evaluate(point, GR_ONE),
         [[-x for x in row] for row in b_poly.evaluate(point, GR_ONE)],
@@ -274,15 +272,10 @@ def build_thm2_D(
     """The n x n matrix D[i][j] = tr(m_i M_j^{eps_i}); row i uses the single
     exponent eps_i throughout, so it is row i of thm1's B (eps_i = +1) or C
     (eps_i = -1) at the trace point."""
-    if not (len(ms) == len(big_ms) == len(eps)):
-        raise LengthMismatchError(
-            f"lengths differ: {len(ms)} m's, {len(big_ms)} M's, {len(eps)} signs"
-        )
+    if len(eps) != len(ms):
+        raise LengthMismatchError(f"{len(eps)} signs vs {len(ms)} m's")
     vec = validate_sign_vector(eps)
-    _require_unimodular(ms, "m")
-    _require_unimodular(big_ms, "M")
-    _, b_poly, c_poly = build_thm1(len(ms))
-    point = _trace_point(ms, big_ms)
+    (_, b_poly, c_poly), point = _thm1_at_trace_point(ms, big_ms)
     return [
         [(b_poly if e == 1 else c_poly).entry(i, j).evaluate(point, GR_ONE) for j in b_poly.col_labels]
         for i, e in enumerate(vec, 1)

@@ -1,9 +1,12 @@
 """Identity checkers: residual-based symbolic verification plus seeded exact
 numeric trials, producing structured reports.
 
-A symbolic check computes the full left-minus-right polynomial and asserts
-it is literally empty; failures carry the residual (or offending matrices)
-as a reproducible witness.
+A symbolic identity is a list of (coefficient, matrix) terms: the check
+computes the residual sum of c * det M and asserts it is literally empty; a
+failure carries the residual, or both engines' determinants when they
+disagree.  A numeric identity is a check run on seeded cases; a failure's
+witness holds the case tag, the samples m and M, and the check's findings,
+which is enough to reproduce it.
 """
 
 from __future__ import annotations
@@ -13,9 +16,9 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
-from .exactpoly import BETA, LAMBDA, Polynomial, entry
+from .exactpoly import BETA, LAMBDA, Polynomial, _add_product, entry
 from .identbuild import (
     COR5,
     COR6,
@@ -28,7 +31,7 @@ from .identbuild import (
     build_thm3,
 )
 from .sl2exact import (
-    GRMatrix,
+    GaussianRational,
     Mat2,
     build_magnus_matrices,
     build_thm2_D,
@@ -146,17 +149,26 @@ def _symbolic_residual_report(
     n: int,
     params: dict,
     started: float,
-    matrices: list[PolyMatrix],
-    combine: Callable[[list[Polynomial]], Polynomial],
+    terms: list[tuple[int | Polynomial, PolyMatrix]],
+    extra: Polynomial | None = None,
 ) -> VerificationReport:
-    dets, oracle_dets = _dets_dual(matrices)
+    """The identity sum(c * det M for c, M in terms) + extra = 0, checked by
+    computing the residual and asserting it is literally empty."""
+    dets, oracle_dets = _dets_dual([m for _, m in terms])
     params = dict(params)
     params["engines"] = "dp+perm" if oracle_dets is not None else "dp"
     if oracle_dets is not None:
         witness = _engine_mismatch_witness(dets, oracle_dets)
         if witness is not None:
             return _finish(identity, n, params, started, False, witness=witness)
-    residual = combine(dets)
+    residual = Polynomial.zero()
+    if extra is not None:
+        _add_product(residual, 1, extra)
+    for (coeff, _), det in zip(terms, dets):
+        if isinstance(coeff, int):
+            _add_product(residual, coeff, det)
+        else:
+            _add_product(residual, 1, coeff, det)
     return _finish(identity, n, params, started, residual.is_zero(), residual=residual)
 
 
@@ -168,20 +180,14 @@ def verify_thm1(n: int, corrupt_sign: bool = False) -> VerificationReport:
     """
     started = time.perf_counter()
     a_mat, b_mat, c_mat = build_thm1(n)
+    params: dict = {}
     if corrupt_sign:
         if n < 1:
             raise ValueError("mutation hook needs n >= 1")
         b_mat = b_mat.with_entry(1, 1, -b_mat.entry(1, 1))
-    sign = 1 if n % 2 == 0 else -1
-
-    def combine(dets: list[Polynomial]) -> Polynomial:
-        det_a, det_b, det_c = dets
-        return det_a - Polynomial.of_int(sign) * det_b - det_c
-
-    params: dict = {}
-    if corrupt_sign:
         params["corrupt_sign"] = True
-    return _symbolic_residual_report("thm1", n, params, started, [a_mat, b_mat, c_mat], combine)
+    terms = [(1, a_mat), (-((-1) ** n), b_mat), (-1, c_mat)]
+    return _symbolic_residual_report("thm1", n, params, started, terms)
 
 
 def verify_thm3_family(n: int, which: str = THM3) -> VerificationReport:
@@ -197,49 +203,27 @@ def verify_thm3_family(n: int, which: str = THM3) -> VerificationReport:
         raise ValueError(f"unknown family member {which!r}")
     IdentityFamily(which, n)
     matrices = build_thm3(n)
-
+    extra = None
     if which == THM3:
+        a_mat, b_mat, c_mat = matrices
         beta = Polynomial.of_var(BETA)
         a11 = Polynomial.of_var(entry(1, 1))
         inner = build_inner_minor(n)
-
-        def combine(dets: list[Polynomial]) -> Polynomial:
-            det_a, det_b, det_c, det_inner = dets
-            return det_a - beta * (det_b + det_c) - (a11 - 2 * beta) * det_inner
-
-        return _symbolic_residual_report(
-            "thm3", n, {}, started, [*matrices, inner], combine
+        terms = [(1, a_mat), (-beta, b_mat), (-beta, c_mat), (2 * beta - a11, inner)]
+    elif which == COR5:
+        a_mat, b_mat, c_mat = apply_specialization(matrices, COR5)
+        terms = [(1, a_mat), (-1, b_mat), (-1, c_mat)]
+    elif which == COR6:
+        a_mat, b_mat, c_mat = apply_specialization(matrices, COR6)
+        terms = [(1, a_mat), (1, b_mat), (1, c_mat)]
+    else:  # thm7: skew specialization with lambda = 1.
+        a_skew, _, c_skew = (
+            m.substitute({LAMBDA: 1}) for m in apply_specialization(matrices, COR6)
         )
-
-    if which == COR5:
-        specialized = apply_specialization(matrices, COR5)
-
-        def combine(dets: list[Polynomial]) -> Polynomial:
-            det_a, det_b, det_c = dets
-            return det_a - det_b - det_c
-
-        return _symbolic_residual_report("cor5", n, {}, started, list(specialized), combine)
-
-    if which == COR6:
-        specialized = apply_specialization(matrices, COR6)
-
-        def combine(dets: list[Polynomial]) -> Polynomial:
-            det_a, det_b, det_c = dets
-            return det_a + det_b + det_c
-
-        return _symbolic_residual_report("cor6", n, {}, started, list(specialized), combine)
-
-    # thm7: skew specialization with lambda = 1.
-    a_skew, _, c_skew = (
-        m.substitute({LAMBDA: 1}) for m in apply_specialization(matrices, COR6)
-    )
-    pf_even, pf_odd = pfaffian_split(a_skew)
-
-    def combine(dets: list[Polynomial]) -> Polynomial:
-        (det_c,) = dets
-        return det_c + 2 * pf_even * pf_odd
-
-    return _symbolic_residual_report("thm7", n, {}, started, [c_skew], combine)
+        pf_even, pf_odd = pfaffian_split(a_skew)
+        terms = [(1, c_skew)]
+        extra = 2 * pf_even * pf_odd
+    return _symbolic_residual_report(which, n, {}, started, terms, extra)
 
 
 def _sample_mat(generator: str, seed: int) -> Mat2:
@@ -250,11 +234,44 @@ def _sample_mat(generator: str, seed: int) -> Mat2:
     raise ValueError(f"unknown generator {generator!r}")
 
 
-def _sample_pair(generator: str, master_seed: int, n: int, t: int) -> tuple[list[Mat2], list[Mat2]]:
-    """The m_1..m_n and M_1..M_n of trial t at size n: draws k = 0..n-1 and
-    k = n..2n-1, each seeded by derive_seed(master_seed, n, t, k)."""
-    draws = [_sample_mat(generator, derive_seed(master_seed, n, t, k)) for k in range(2 * n)]
-    return draws[:n], draws[n:]
+def _trials(
+    generator: str, master_seed: int, n: int, trials: int, count: int | None = None
+) -> Iterator[tuple[dict, list[Mat2], list[Mat2]]]:
+    """Trials 0..trials-1 as numeric cases: the tag {"trial": t}, then
+    m_1..m_c and M_1..M_c (c = count, default n) from draws k = 0..2c-1,
+    each seeded by derive_seed(master_seed, n, t, k)."""
+    count = n if count is None else count
+    for t in range(trials):
+        draws = [_sample_mat(generator, derive_seed(master_seed, n, t, k)) for k in range(2 * count)]
+        yield {"trial": t}, draws[:count], draws[count:]
+
+
+def _gaussians(**values: GaussianRational) -> dict:
+    return {name: gaussian_to_json(x) for name, x in values.items()}
+
+
+def _numeric_report(
+    identity: str,
+    n: int | None,
+    params: dict,
+    started: float,
+    cases: Iterable[tuple],
+    check: Callable[..., dict | None],
+) -> VerificationReport:
+    """Run ``check(ms, big, *rest)`` on each case ``(tag, ms, big, *rest)`` in
+    turn.  ``check`` returns None when the case holds, else its findings; the
+    first failed case's tag, samples and findings make the witness."""
+    for tag, ms, big, *rest in cases:
+        findings = check(ms, big, *rest)
+        if findings is not None:
+            witness = {
+                **tag,
+                "m": [mat2_to_json(x) for x in ms],
+                "M": [mat2_to_json(x) for x in big],
+                **findings,
+            }
+            return _finish(identity, n, params, started, False, witness=witness)
+    return _finish(identity, n, params, started, True)
 
 
 def verify_magnus_numeric(
@@ -268,28 +285,26 @@ def verify_magnus_numeric(
               "formula": "det A = det B + det C"}
     if n < 1:
         raise ValueError("n must be >= 1")
-    for t in range(trials):
-        ms, big = _sample_pair(generator, master_seed, n, t)
-        a_mat, b_mat, c_mat = build_magnus_matrices(ms, big)
-        det_a = exact_det(a_mat)
-        det_b = exact_det(b_mat)
-        det_c = exact_det(c_mat)
-        ok = det_a == det_b + det_c
-        if ok and n >= 4:
-            ok = not det_a
-        if ok and n >= 5:
-            ok = not det_b and not det_c
-        if not ok:
-            witness = {
-                "trial": t,
-                "m": [mat2_to_json(x) for x in ms],
-                "M": [mat2_to_json(x) for x in big],
-                "det_A": gaussian_to_json(det_a),
-                "det_B": gaussian_to_json(det_b),
-                "det_C": gaussian_to_json(det_c),
-            }
-            return _finish("magnus", n, params, started, False, witness=witness)
-    return _finish("magnus", n, params, started, True)
+
+    def check(ms: list[Mat2], big: list[Mat2]) -> dict | None:
+        det_a, det_b, det_c = (exact_det(x) for x in build_magnus_matrices(ms, big))
+        if det_a == det_b + det_c and (n < 4 or not det_a) and (n < 5 or not (det_b or det_c)):
+            return None
+        return _gaussians(det_A=det_a, det_B=det_b, det_C=det_c)
+
+    cases = _trials(generator, master_seed, n, trials)
+    return _numeric_report("magnus", n, params, started, cases, check)
+
+
+def _magnus_original_check(ms: list[Mat2], big: list[Mat2]) -> dict | None:
+    det_cross = exact_det(trace_matrix(ms, big))
+    det_cross_inv = exact_det(trace_matrix(ms, big, invert_right=True))
+    det_mm = exact_det(trace_matrix(ms, ms))
+    det_big = exact_det(trace_matrix(big, big))
+    if not (det_cross + det_cross_inv) and det_mm * det_big == det_cross * det_cross:
+        return None
+    return _gaussians(det_cross=det_cross, det_cross_inv=det_cross_inv,
+                      det_mm=det_mm, det_MM=det_big)
 
 
 def verify_magnus_original(trials: int, master_seed: int) -> VerificationReport:
@@ -298,30 +313,17 @@ def verify_magnus_original(trials: int, master_seed: int) -> VerificationReport:
     det(tr m_i m_j) * det(tr M_i M_j) = det(tr m_i M_j)^2."""
     started = time.perf_counter()
     params = {"trials": trials, "seed": master_seed}
-    for t in range(trials):
-        ms, big = _sample_pair(SL2Z, master_seed, 4, t)
-        det_mm_cross = exact_det(trace_matrix(ms, big))
-        det_mm_inv = exact_det(trace_matrix(ms, big, invert_right=True))
-        det_mm = exact_det(trace_matrix(ms, ms))
-        det_big = exact_det(trace_matrix(big, big))
-        additive_ok = not (det_mm_cross + det_mm_inv)
-        product_ok = det_mm * det_big == det_mm_cross * det_mm_cross
-        if not (additive_ok and product_ok):
-            witness = {
-                "trial": t,
-                "m": [mat2_to_json(x) for x in ms],
-                "M": [mat2_to_json(x) for x in big],
-                "det_cross": gaussian_to_json(det_mm_cross),
-                "det_cross_inv": gaussian_to_json(det_mm_inv),
-                "det_mm": gaussian_to_json(det_mm),
-                "det_MM": gaussian_to_json(det_big),
-            }
-            return _finish("magnus-original", 4, params, started, False, witness=witness)
-    return _finish("magnus-original", 4, params, started, True)
+    cases = _trials(SL2Z, master_seed, 4, trials)
+    return _numeric_report("magnus-original", 4, params, started, cases, _magnus_original_check)
 
 
-def _check_kernel(d_mat: GRMatrix) -> dict | None:
-    """None when a valid left kernel vector exists, else a witness dict."""
+def _thm2_check(ms: list[Mat2], big: list[Mat2], eps: tuple[int, ...]) -> dict | None:
+    """None when det D = 0 and a left kernel vector of D re-verifies, else
+    the findings."""
+    d_mat = build_thm2_D(ms, big, eps)
+    det_d = exact_det(d_mat)
+    if det_d:
+        return _gaussians(det_D=det_d)
     v = left_kernel(d_mat)
     if v is None:
         return {"kernel": "none found"}
@@ -337,62 +339,52 @@ def _check_kernel(d_mat: GRMatrix) -> dict | None:
     return None
 
 
+def _exhaustive_sign_cases(master_seed: int, n: int) -> Iterator[tuple]:
+    """All 2^n sign vectors over the one sample of trial 0."""
+    _, ms, big = next(_trials(SL2Z, master_seed, n, 1))
+    for eps in itertools.product((1, -1), repeat=n):
+        yield {"case": f"eps={eps}", "eps": list(eps)}, ms, big, eps
+
+
+def _random_sign_cases(master_seed: int, n: int, trials: int) -> Iterator[tuple]:
+    """Trial t's sample with a sign vector seeded by derive_seed(master_seed, n, t, 2n)."""
+    for tag, ms, big in _trials(SL2Z, master_seed, n, trials):
+        t = tag["trial"]
+        rng = random.Random(derive_seed(master_seed, n, t, 2 * n))
+        eps = tuple(rng.choice((1, -1)) for _ in range(n))
+        yield {"case": f"trial={t}", "eps": list(eps)}, ms, big, eps
+
+
 def verify_thm2(
     n: int, trials: int, master_seed: int, eps_mode: str = "random"
 ) -> VerificationReport:
     """det D = 0 with D[i][j] = tr(m_i M_j^{eps_i}), asserted for n >= 5 and
     each zero accompanied by a re-verified left kernel vector.  For n < 5
-    the determinant is only reported, never asserted.  ``exhaustive`` mode
-    sweeps all 2^n sign vectors over a single seeded sample."""
+    only the first case's determinant is computed and reported, never
+    asserted.  ``exhaustive`` mode sweeps all 2^n sign vectors over a single
+    seeded sample."""
     started = time.perf_counter()
-    if eps_mode not in ("random", "exhaustive"):
+    if eps_mode == "exhaustive":
+        cases = _exhaustive_sign_cases(master_seed, n)
+    elif eps_mode == "random":
+        cases = _random_sign_cases(master_seed, n, trials)
+    else:
         raise ValueError(f"unknown eps mode {eps_mode!r}")
     asserted = n >= 5
     params = {"trials": trials, "seed": master_seed, "eps_mode": eps_mode,
               "asserted": asserted}
-    first_det = None
-
-    def run_case(ms, big, eps, case_tag):
-        nonlocal first_det
-        d_mat = build_thm2_D(ms, big, eps)
-        det_d = exact_det(d_mat)
-        if first_det is None:
-            first_det = det_d
-        if not asserted:
-            return None
-        if det_d:
-            return {
-                "case": case_tag,
-                "eps": list(eps),
-                "det_D": gaussian_to_json(det_d),
-                "m": [mat2_to_json(x) for x in ms],
-                "M": [mat2_to_json(x) for x in big],
-            }
-        kernel_issue = _check_kernel(d_mat)
-        if kernel_issue is not None:
-            kernel_issue = dict(kernel_issue)
-            kernel_issue.update({"case": case_tag, "eps": list(eps)})
-            return kernel_issue
-        return None
-
+    if asserted:
+        report = _numeric_report("thm2", n, params, started, cases, _thm2_check)
+        if report.passed and eps_mode == "exhaustive":
+            report.params["cases"] = 2 ** n
+        return report
+    first = next(cases, None)
     if eps_mode == "exhaustive":
-        ms, big = _sample_pair(SL2Z, master_seed, n, 0)
-        for eps in itertools.product((1, -1), repeat=n):
-            witness = run_case(ms, big, eps, f"eps={eps}")
-            if witness is not None:
-                return _finish("thm2", n, params, started, False, witness=witness)
         params["cases"] = 2 ** n
-    else:
-        for t in range(trials):
-            ms, big = _sample_pair(SL2Z, master_seed, n, t)
-            rng = random.Random(derive_seed(master_seed, n, t, 2 * n))
-            eps = tuple(rng.choice((1, -1)) for _ in range(n))
-            witness = run_case(ms, big, eps, f"trial={t}")
-            if witness is not None:
-                return _finish("thm2", n, params, started, False, witness=witness)
-    if not asserted and first_det is not None:
+    if first is not None:
+        _, ms, big, eps = first
         params["informational"] = True
-        params["det_sample"] = gaussian_to_json(first_det)
+        params["det_sample"] = gaussian_to_json(exact_det(build_thm2_D(ms, big, eps)))
     return _finish("thm2", n, params, started, True)
 
 
@@ -402,17 +394,10 @@ def verify_trace_relation(
     """tr(m M^-1) = tr(m) tr(M) - tr(m M) on seeded random pairs."""
     started = time.perf_counter()
     params = {"trials": trials, "seed": master_seed, "generator": generator}
-    for t in range(trials):
-        m = _sample_mat(generator, derive_seed(master_seed, 0, t, 0))
-        big = _sample_mat(generator, derive_seed(master_seed, 0, t, 1))
-        lhs, rhs = trace_relation_check(m, big)
-        if lhs != rhs:
-            witness = {
-                "trial": t,
-                "m": mat2_to_json(m),
-                "M": mat2_to_json(big),
-                "lhs": gaussian_to_json(lhs),
-                "rhs": gaussian_to_json(rhs),
-            }
-            return _finish("trace", None, params, started, False, witness=witness)
-    return _finish("trace", None, params, started, True)
+
+    def check(ms: list[Mat2], big: list[Mat2]) -> dict | None:
+        lhs, rhs = trace_relation_check(ms[0], big[0])
+        return None if lhs == rhs else _gaussians(lhs=lhs, rhs=rhs)
+
+    cases = _trials(generator, master_seed, 0, trials, count=1)
+    return _numeric_report("trace", None, params, started, cases, check)

@@ -56,17 +56,47 @@ def test_usage_errors(capsys):
     assert run(["verify", "thm3", "--n", "9"]) == 2
     too_many_signs = str(cli.THM2_EXHAUSTIVE_MAX_N + 1)
     assert run(["verify", "thm2", "--n", too_many_signs, "--eps", "exhaustive"]) == 2
+    assert run(["verify", "magnus", "--n", str(cli.MAGNUS_MAX_N + 1)]) == 2
+    assert run(["verify", "thm2", "--n", str(cli.THM2_RANDOM_MAX_N + 1)]) == 2
+    assert run(["verify", "trace", "--trials", str(cli.MAX_TRIALS + 1)]) == 2
+    assert run(["verify", "all", "--trials", str(cli.MAX_TRIALS + 1)]) == 2
     capsys.readouterr()
     assert run(["verify", "thm7", "--n", "0"]) == 2
     assert "even n >= 2" in capsys.readouterr().err
+    # A size range that leaves nothing to check is a usage error too.
+    for argv in (["thm7", "--max-n", "1"], ["thm2", "--max-n", "4", "--format", "json"],
+                 ["thm2", "--eps", "exhaustive", "--max-n", "3"], ["magnus", "--max-n", "0"]):
+        assert run(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"leaves no {argv[0]} size to check" in captured.err
+
+
+def test_empty_range_checked_before_out_is_opened(tmp_path, capsys):
+    target = tmp_path / "r.json"
+    assert run(["verify", "thm7", "--max-n", "1", "--out", str(target)]) == 2
+    assert "leaves no thm7 size to check" in capsys.readouterr().err
+    assert not target.exists()
+
+
+def test_exhaustive_without_n_runs_smallest_size_in_range():
+    parser = cli.build_parser()
+    args = parser.parse_args(["verify", "thm2", "--eps", "exhaustive", "--max-n", "6"])
+    assert len(cli.build_jobs(cli._validated_config(parser, args))) == 1
 
 
 def test_size_bound_accepts_largest_n():
-    # Validation only: thm3 at n=8 is allowed but not run here.
+    # Validation only: thm3 at n=8 and the other largest values are allowed
+    # but not run here.
     parser = cli.build_parser()
     args = parser.parse_args(["verify", "thm3", "--n", "8"])
     cfg = cli._validated_config(parser, args)
     assert (cfg.target, cfg.n) == ("thm3", 8)
+    for argv in (["magnus", "--n", str(cli.MAGNUS_MAX_N)],
+                 ["thm2", "--n", str(cli.THM2_RANDOM_MAX_N)],
+                 ["trace", "--trials", str(cli.MAX_TRIALS)]):
+        cfg = cli._validated_config(parser, parser.parse_args(["verify", *argv]))
+        assert cfg.target == argv[0]
 
 
 def test_exit_one_on_failure(monkeypatch, capsys):

@@ -2,8 +2,17 @@
 
 import pytest
 
+from tracedet import verify
 from tracedet.exactpoly import Polynomial
 from tracedet.identbuild import build_thm1
+from tracedet.sl2exact import (
+    DEFAULT_WORD_LEN,
+    GR_ONE,
+    GR_ZERO,
+    gaussian_to_json,
+    mat2_to_json,
+    random_sl2z,
+)
 from tracedet.symmat import OddSizeError
 from tracedet.verify import (
     FAIL,
@@ -134,3 +143,116 @@ def test_report_json_schema():
     bad = verify_thm1(3, corrupt_sign=True).to_json_dict()
     assert "residual" in bad
     assert bad["status"] == FAIL
+
+
+# Failure paths: each numeric verifier must report FAIL, with a witness that
+# holds the case tag, the samples m and M, and the findings, when one of the
+# exact routines it relies on is replaced by a wrong one.
+
+def _sl2z_samples(seed, n, t, count):
+    draws = [random_sl2z(DEFAULT_WORD_LEN, derive_seed(seed, n, t, k)) for k in range(2 * count)]
+    return [mat2_to_json(x) for x in draws[:count]], [mat2_to_json(x) for x in draws[count:]]
+
+
+def _always_one(_rows):
+    return GR_ONE
+
+
+def test_magnus_fails_on_wrong_determinants(monkeypatch):
+    monkeypatch.setattr(verify, "exact_det", _always_one)
+    r = verify_magnus_numeric(2, 3, 7)
+    assert r.status == FAIL
+    m, big = _sl2z_samples(7, 2, 0, 2)
+    one = gaussian_to_json(GR_ONE)
+    assert r.witness == {"trial": 0, "m": m, "M": big, "det_A": one, "det_B": one, "det_C": one}
+
+
+def test_magnus_original_fails_on_wrong_determinants(monkeypatch):
+    monkeypatch.setattr(verify, "exact_det", _always_one)
+    r = verify_magnus_original(3, 7)
+    assert r.status == FAIL
+    assert r.n == 4
+    m, big = _sl2z_samples(7, 4, 0, 4)
+    assert (r.witness["trial"], r.witness["m"], r.witness["M"]) == (0, m, big)
+    assert set(r.witness) == {"trial", "m", "M", "det_cross", "det_cross_inv", "det_mm", "det_MM"}
+
+
+def test_thm2_fails_on_nonzero_determinant(monkeypatch):
+    monkeypatch.setattr(verify, "exact_det", _always_one)
+    r = verify_thm2(5, 2, 7)
+    assert r.status == FAIL
+    m, big = _sl2z_samples(7, 5, 0, 5)
+    assert r.witness["case"] == "trial=0"
+    assert len(r.witness["eps"]) == 5
+    assert (r.witness["m"], r.witness["M"]) == (m, big)
+    assert r.witness["det_D"] == gaussian_to_json(GR_ONE)
+    assert "cases" not in r.params
+
+
+@pytest.mark.parametrize("eps_mode,case", [
+    ("random", "trial=0"), ("exhaustive", "eps=(1, 1, 1, 1, 1)"),
+])
+def test_thm2_fails_without_kernel_vector(monkeypatch, eps_mode, case):
+    monkeypatch.setattr(verify, "left_kernel", lambda rows: None)
+    r = verify_thm2(5, 2, 7, eps_mode)
+    assert r.status == FAIL
+    m, big = _sl2z_samples(7, 5, 0, 5)
+    assert r.witness["case"] == case
+    assert (r.witness["m"], r.witness["M"]) == (m, big)
+    assert r.witness["kernel"] == "none found"
+    assert len(r.witness["eps"]) == 5
+
+
+@pytest.mark.parametrize("vector,finding", [
+    ([GR_ZERO] * 5, "zero vector returned"),
+    ([GR_ONE] + [GR_ZERO] * 4, "v*D nonzero"),
+])
+def test_thm2_fails_on_wrong_kernel_vector(monkeypatch, vector, finding):
+    monkeypatch.setattr(verify, "left_kernel", lambda rows: list(vector))
+    r = verify_thm2(5, 2, 7)
+    assert r.status == FAIL
+    assert r.witness["kernel"] == finding
+    assert {"case", "eps", "m", "M"} <= set(r.witness)
+    if finding == "v*D nonzero":
+        assert r.witness["v"] == [gaussian_to_json(x) for x in vector]
+        assert len(r.witness["vD"]) == 5
+
+
+def test_trace_fails_on_unequal_sides(monkeypatch):
+    monkeypatch.setattr(verify, "trace_relation_check", lambda m, big: (GR_ONE, GR_ZERO))
+    r = verify_trace_relation(3, 7)
+    assert r.status == FAIL
+    m, big = _sl2z_samples(7, 0, 0, 1)
+    assert r.witness == {
+        "trial": 0, "m": m, "M": big,
+        "lhs": gaussian_to_json(GR_ONE), "rhs": gaussian_to_json(GR_ZERO),
+    }
+
+
+def test_thm2_below_threshold_computes_one_determinant(monkeypatch):
+    calls = []
+    real = verify.exact_det
+    monkeypatch.setattr(verify, "exact_det", lambda rows: calls.append(rows) or real(rows))
+    r = verify_thm2(4, 5, 7)
+    assert r.params["informational"] is True
+    assert len(calls) == 1
+    calls.clear()
+    r = verify_thm2(3, 5, 7, "exhaustive")
+    assert (r.params["cases"], len(calls)) == (8, 1)
+
+
+def test_thm7_fails_when_the_pfaffian_term_is_wrong(monkeypatch):
+    real = verify.pfaffian_split
+    monkeypatch.setattr(verify, "pfaffian_split", lambda m: (real(m)[0], real(m)[1] + 1))
+    r = verify_thm3_family(2, "thm7")
+    assert r.status == FAIL
+    assert not Polynomial.from_text(r.residual).is_zero()
+
+
+def test_engine_mismatch_is_reported(monkeypatch):
+    monkeypatch.setattr(verify, "det_perm_oracle", lambda m: Polynomial.of_int(7))
+    r = verify_thm1(2)
+    assert r.status == FAIL
+    assert r.residual is None
+    assert r.witness["engine_mismatch"]["matrix_index"] == 0
+    assert r.witness["engine_mismatch"]["det_perm_oracle"] == "7"
