@@ -20,7 +20,6 @@ from .identbuild import (
     THM1,
     THM3,
     THM7,
-    IdentityFamily,
     apply_specialization,
     build_inner_minor,
     build_thm1,
@@ -52,7 +51,7 @@ __all__ = [
     "EVEN_CORRECTED", "ODD_CORRECTED", "PolyMatrix",
     "det_dp", "det_perm_oracle", "det_signed_perm_expansion",
     "matching_sign", "perfect_matchings", "pfaffian", "pfaffian_split",
-    "COR5", "COR6", "THM1", "THM3", "THM7", "IdentityFamily",
+    "COR5", "COR6", "THM1", "THM3", "THM7",
     "apply_specialization", "build_inner_minor", "build_thm1", "build_thm3",
     "GaussianRational", "Mat2", "build_magnus_matrices", "build_thm2_D",
     "exact_det", "left_kernel", "random_sl2_gaussian", "random_sl2z",

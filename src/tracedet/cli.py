@@ -7,25 +7,26 @@ Grammar:
         [--format {text,json}] [--out PATH]
 
 Exit codes: 0 all checks pass, 1 some check failed, 2 usage error (including
-a size range that leaves nothing to check).
+a size range that leaves nothing to check), 3 internal error (a check raised
+an exception).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .identbuild import FAMILY_IDS, THM1, IdentityFamily
-from .symmat import DET_DP_SIZE_BOUND
 from .verify import (
-    DEFAULT_RANGES,
     GAUSSIAN,
+    SIZES,
     SL2Z,
     VerificationReport,
+    check_size,
     verify_magnus_numeric,
     verify_magnus_original,
     verify_thm1,
@@ -34,25 +35,35 @@ from .verify import (
     verify_trace_relation,
 )
 
-TARGETS = (
-    "thm1", "thm3", "cor5", "cor6", "thm7",
-    "magnus", "magnus-original", "thm2", "trace", "all",
-)
+# Target -> its job at size n (None for the targets not in SIZES) with
+# generator or sign mode v.  The key order is the order 'all' runs the
+# targets in.  Each lambda looks its verify_* up in this module when the job
+# runs, so a patched cli.verify_* sees every call.
+JOBS: dict[str, Callable[[CliConfig, int | None, str], VerificationReport]] = {
+    "thm1": lambda cfg, n, v: verify_thm1(n),
+    "thm3": lambda cfg, n, v: verify_thm3_family(n, "thm3"),
+    "cor5": lambda cfg, n, v: verify_thm3_family(n, "cor5"),
+    "cor6": lambda cfg, n, v: verify_thm3_family(n, "cor6"),
+    "thm7": lambda cfg, n, v: verify_thm3_family(n, "thm7"),
+    "magnus": lambda cfg, n, v: verify_magnus_numeric(n, cfg.trials, cfg.master_seed, v),
+    "magnus-original": lambda cfg, n, v: verify_magnus_original(cfg.trials, cfg.master_seed),
+    "thm2": lambda cfg, n, v: verify_thm2(n, cfg.trials, cfg.master_seed, v),
+    "trace": lambda cfg, n, v: verify_trace_relation(cfg.trials, cfg.master_seed, v),
+}
+TARGETS = (*JOBS, "all")
+# The targets that sample with --generator; 'all' runs them with both.
+PER_GENERATOR = ("magnus", "trace")
 
 DEFAULT_TRIALS = 100
 DEFAULT_TRACE_TRIALS = 1000
 DEFAULT_SEED = 42
 DEFAULT_MAX_N = 6
 # Upper bounds that keep one command line from running without bound.  The
-# costs were measured on one 2.1 GHz Xeon core (Python 3.11).
-# thm2 --eps exhaustive runs 2^n sign vectors: n = 9 took 11 s and n = 10
-# took 32 s; each further n costs about 2.5 times more.
+# costs were measured on one 2.1 GHz Xeon core (Python 3.11).  --n is bounded
+# by SIZES[target].high, except that thm2 --eps exhaustive runs 2^n sign
+# vectors: n = 9 took 11 s and n = 10 took 32 s; each further n costs about
+# 2.5 times more.
 THM2_EXHAUSTIVE_MAX_N = 10
-# One magnus trial took 0.16 s at n = 16 and 0.34 s at n = 24 (thm1's
-# matrices evaluated at a trace point and three exact determinants).
-MAGNUS_MAX_N = 24
-# One random-sign thm2 trial took 0.11 s at n = 16 and 0.25 s at n = 24.
-THM2_RANDOM_MAX_N = 24
 # Trials per check: 1000 trace trials took 4.7 s (sl2z) and 0.95 s
 # (gaussian); 10^4 magnus trials at n = 24 would take about an hour.
 MAX_TRIALS = 10_000
@@ -104,29 +115,18 @@ def _validated_config(parser: argparse.ArgumentParser, args: argparse.Namespace)
         parser.error(f"--trials must be between 1 and {MAX_TRIALS}")
     if args.max_n is not None and args.max_n < 0:
         parser.error("--max-n must be >= 0")
-    if args.n is not None and target in FAMILY_IDS:
+    if args.n is not None:
+        if target not in SIZES:
+            parser.error(f"--n is not valid for {target}")
         try:
-            IdentityFamily(target, args.n)
+            check_size(target, args.n)
         except ValueError as exc:
             parser.error(str(exc))
-        # det_dp has a hard size bound; reject before computing.  thm1's A
-        # is (n+1)x(n+1), every other family's largest matrix is n x n.
-        maximum = DET_DP_SIZE_BOUND - 1 if target == THM1 else DET_DP_SIZE_BOUND
-        if args.n > maximum:
-            parser.error(f"--n must be <= {maximum} for {target}")
-    elif args.n is not None and target in ("magnus", "thm2"):
-        if args.n < 1:
-            parser.error(f"--n must be >= 1 for {target}")
-        if target == "magnus":
-            maximum, what = MAGNUS_MAX_N, target
-        elif args.eps == "exhaustive":
-            maximum, what = THM2_EXHAUSTIVE_MAX_N, "thm2 --eps exhaustive"
-        else:
-            maximum, what = THM2_RANDOM_MAX_N, target
-        if args.n > maximum:
-            parser.error(f"--n must be <= {maximum} for {what}")
-    if target in ("magnus-original", "trace") and args.n is not None:
-        parser.error(f"--n is not valid for {target}")
+        high, what = SIZES[target].high, target
+        if target == "thm2" and args.eps == "exhaustive":
+            high, what = THM2_EXHAUSTIVE_MAX_N, "thm2 --eps exhaustive"
+        if args.n > high:
+            parser.error(f"--n must be <= {high} for {what}")
     trials = args.trials
     if trials is None:
         trials = DEFAULT_TRACE_TRIALS if target == "trace" else DEFAULT_TRIALS
@@ -144,55 +144,33 @@ def _validated_config(parser: argparse.ArgumentParser, args: argparse.Namespace)
     )
 
 
-def _sizes(cfg: CliConfig, family: str) -> tuple[int, ...]:
+def _sizes(cfg: CliConfig, target: str) -> tuple[int | None, ...]:
+    if target not in SIZES:
+        return (None,)
     if cfg.n is not None:
         return (cfg.n,)
-    return tuple(n for n in DEFAULT_RANGES[family] if n <= cfg.max_n)
+    return tuple(n for n in SIZES[target].sweep if n <= cfg.max_n)
 
 
 Job = Callable[[], VerificationReport]
 
 
 def build_jobs(cfg: CliConfig) -> list[Job]:
+    """One job per size in range of the target, or of every target for
+    'all', and per generator for the targets in PER_GENERATOR."""
+    everything = cfg.target == "all"
+    gens = (cfg.generator,) if cfg.generator else (SL2Z, GAUSSIAN) if everything else (SL2Z,)
     jobs: list[Job] = []
-    target = cfg.target
-    gens = (cfg.generator,) if cfg.generator else (SL2Z, GAUSSIAN) if target == "all" else (SL2Z,)
-
-    def add_family(family: str):
-        if family == "thm1":
-            for n in _sizes(cfg, "thm1"):
-                jobs.append(lambda n=n: verify_thm1(n))
-        elif family in ("thm3", "cor5", "cor6", "thm7"):
-            for n in _sizes(cfg, family):
-                jobs.append(lambda n=n, f=family: verify_thm3_family(n, f))
-        elif family == "magnus":
-            for gen in gens:
-                for n in _sizes(cfg, "magnus"):
-                    jobs.append(lambda n=n, g=gen: verify_magnus_numeric(n, cfg.trials, cfg.master_seed, g))
-        elif family == "magnus-original":
-            jobs.append(lambda: verify_magnus_original(cfg.trials, cfg.master_seed))
-        elif family == "thm2":
-            # Exhaustive mode sweeps 2^n sign vectors, so without --n it runs
-            # the smallest size in range only.
-            sizes = _sizes(cfg, "thm2")
-            if target == "all":
-                for n in sizes:
-                    jobs.append(lambda n=n: verify_thm2(n, cfg.trials, cfg.master_seed, "random"))
-                for n in sizes[:1]:
-                    jobs.append(lambda n=n: verify_thm2(n, 1, cfg.master_seed, "exhaustive"))
-            else:
-                for n in sizes[:1] if cfg.eps_mode == "exhaustive" else sizes:
-                    jobs.append(lambda n=n: verify_thm2(n, cfg.trials, cfg.master_seed, cfg.eps_mode))
-        elif family == "trace":
-            for gen in gens:
-                jobs.append(lambda g=gen: verify_trace_relation(cfg.trials, cfg.master_seed, g))
-
-    if target == "all":
-        for family in ("thm1", "thm3", "cor5", "cor6", "thm7", "magnus",
-                       "magnus-original", "thm2", "trace"):
-            add_family(family)
-    else:
-        add_family(target)
+    for target in JOBS if everything else (cfg.target,):
+        sizes = _sizes(cfg, target)
+        if target == "thm2":
+            # Exhaustive mode runs 2^n sign vectors, so without --n it runs
+            # the smallest size in range only; 'all' runs both sign modes.
+            modes = ("random", "exhaustive") if everything else (cfg.eps_mode,)
+            runs = [(m, sizes[:1] if m == "exhaustive" else sizes) for m in modes]
+        else:
+            runs = [(g, sizes) for g in (gens if target in PER_GENERATOR else gens[:1])]
+        jobs += [functools.partial(JOBS[target], cfg, n, v) for v, ns in runs for n in ns]
     return jobs
 
 
@@ -248,7 +226,11 @@ def run(argv: Sequence[str] | None = None) -> int:
             print(f"tracedet: cannot write {cfg.out_path}: {exc.strerror or exc}", file=sys.stderr)
             return 2
     with out as handle:
-        reports = [job() for job in jobs]
+        try:
+            reports = [job() for job in jobs]
+        except Exception as exc:  # a bug, not a failed identity: exit 3
+            print(f"tracedet: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 3
         handle.write(render_report(reports, cfg.out_format) + "\n")
     return 0 if all(r.passed for r in reports) else 1
 

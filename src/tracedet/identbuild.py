@@ -5,41 +5,15 @@ identities (thm1, thm3) and their specializations (cor5, cor6, thm7).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .exactpoly import BETA, LAMBDA, Polynomial, PolyVar, entry
-from .symmat import OddSizeError, PolyMatrix
+from .symmat import PolyMatrix
 
 THM1 = "thm1"
 THM3 = "thm3"
 COR5 = "cor5"
 COR6 = "cor6"
 THM7 = "thm7"
-
-FAMILY_IDS = (THM1, THM3, COR5, COR6, THM7)
-
-
-@dataclass(frozen=True)
-class IdentityFamily:
-    """The size check of one identity instance: constructing it raises
-    unless n is a valid size for the family id."""
-
-    id: str
-    n: int
-
-    def __post_init__(self):
-        if self.id not in FAMILY_IDS:
-            raise ValueError(f"unknown identity family {self.id!r}")
-        if self.id == THM1:
-            if self.n < 0:
-                raise ValueError("thm1 needs n >= 0")
-        elif self.id in (COR6, THM7):
-            if self.n % 2 != 0:
-                raise OddSizeError(f"{self.id} needs even n >= 2, got {self.n}")
-            if self.n < 2:
-                raise ValueError(f"{self.id} needs even n >= 2, got {self.n}")
-        elif self.n < 1:
-            raise ValueError(f"{self.id} needs n >= 1")
 
 
 def _a(i: int, j: int) -> Polynomial:

@@ -106,19 +106,6 @@ class PolyMatrix:
             )
         return len(self.row_labels)
 
-    def submatrix_delete(
-        self, drop_rows: Iterable[int] = (), drop_cols: Iterable[int] = ()
-    ) -> "PolyMatrix":
-        """Matrix on the remaining labels, order preserved."""
-        drop_r = set(drop_rows)
-        drop_c = set(drop_cols)
-        unknown = (drop_r - set(self.row_labels)) | (drop_c - set(self.col_labels))
-        if unknown:
-            raise UnknownLabelError(f"unknown labels: {sorted(unknown)}")
-        rows = tuple(r for r in self.row_labels if r not in drop_r)
-        cols = tuple(c for c in self.col_labels if c not in drop_c)
-        return PolyMatrix(rows, cols, {(r, c): self._entries[(r, c)] for r in rows for c in cols})
-
     def substitute(self, mapping: Mapping[PolyVar, Polynomial | int]) -> "PolyMatrix":
         return PolyMatrix(
             self.row_labels,

@@ -24,7 +24,6 @@ from .identbuild import (
     COR6,
     THM3,
     THM7,
-    IdentityFamily,
     apply_specialization,
     build_inner_minor,
     build_thm1,
@@ -46,7 +45,15 @@ from .sl2exact import (
     trace_relation_check,
     DEFAULT_WORD_LEN,
 )
-from .symmat import DET_PERM_SIZE_BOUND, PolyMatrix, det_dp, det_perm_oracle, pfaffian_split
+from .symmat import (
+    DET_DP_SIZE_BOUND,
+    DET_PERM_SIZE_BOUND,
+    OddSizeError,
+    PolyMatrix,
+    det_dp,
+    det_perm_oracle,
+    pfaffian_split,
+)
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -54,15 +61,48 @@ FAIL = "FAIL"
 SL2Z = "sl2z"
 GAUSSIAN = "gaussian"
 
-DEFAULT_RANGES: dict[str, tuple[int, ...]] = {
-    "thm1": tuple(range(0, 7)),
-    "thm3": tuple(range(1, 7)),
-    "cor5": tuple(range(2, 7)),
-    "cor6": (2, 4, 6),
-    "thm7": (2, 4, 6),
-    "magnus": tuple(range(1, 7)),
-    "thm2": (5, 6),
+
+@dataclass(frozen=True)
+class Sizes:
+    """The sizes n an identity is stated for: n >= low, and n even when
+    ``even`` is set.  ``sweep`` is what the CLI runs when no --n is given
+    (cut at --max-n), and ``high`` bounds what one command line may ask for;
+    it limits cost, not validity, so only the CLI checks it."""
+
+    sweep: tuple[int, ...]
+    low: int
+    high: int
+    even: bool = False
+
+
+# det_dp refuses matrices above DET_DP_SIZE_BOUND: thm1's A is (n+1)x(n+1),
+# every other symbolic family's largest matrix is n x n.  The numeric costs
+# were measured on one 2.1 GHz Xeon core (Python 3.11).
+SIZES: dict[str, Sizes] = {
+    "thm1": Sizes(tuple(range(0, 7)), low=0, high=DET_DP_SIZE_BOUND - 1),
+    "thm3": Sizes(tuple(range(1, 7)), low=1, high=DET_DP_SIZE_BOUND),
+    "cor5": Sizes(tuple(range(2, 7)), low=1, high=DET_DP_SIZE_BOUND),
+    "cor6": Sizes((2, 4, 6), low=2, high=DET_DP_SIZE_BOUND, even=True),
+    "thm7": Sizes((2, 4, 6), low=2, high=DET_DP_SIZE_BOUND, even=True),
+    # One magnus trial took 0.16 s at n = 16 and 0.34 s at n = 24 (thm1's
+    # matrices evaluated at a trace point and three exact determinants).
+    "magnus": Sizes(tuple(range(1, 7)), low=1, high=24),
+    # det D = 0 is asserted from n = 5 on; below, one determinant is
+    # reported.  One random-sign trial took 0.11 s at n = 16 and 0.25 s at
+    # n = 24.
+    "thm2": Sizes((5, 6), low=1, high=24),
 }
+
+
+def check_size(identity: str, n: int) -> None:
+    """Raise OddSizeError for an odd n of an even-only identity, and
+    ValueError for an n below the identity's smallest size."""
+    sizes = SIZES[identity]
+    need = f"{identity} needs {'even ' if sizes.even else ''}n >= {sizes.low}, got {n}"
+    if sizes.even and n % 2:
+        raise OddSizeError(need)
+    if n < sizes.low:
+        raise ValueError(need)
 
 
 @dataclass
@@ -179,6 +219,7 @@ def verify_thm1(n: int, corrupt_sign: bool = False) -> VerificationReport:
     one entry of B so the verification must fail with a nonzero witness.
     """
     started = time.perf_counter()
+    check_size("thm1", n)
     a_mat, b_mat, c_mat = build_thm1(n)
     params: dict = {}
     if corrupt_sign:
@@ -201,7 +242,7 @@ def verify_thm3_family(n: int, which: str = THM3) -> VerificationReport:
     started = time.perf_counter()
     if which not in (THM3, COR5, COR6, THM7):
         raise ValueError(f"unknown family member {which!r}")
-    IdentityFamily(which, n)
+    check_size(which, n)
     matrices = build_thm3(n)
     extra = None
     if which == THM3:
@@ -281,10 +322,9 @@ def verify_magnus_numeric(
     (B[i][j] = -tr(m_i M_j), C[i][j] = tr(m_i M_j^-1)), plus the vanishing
     clauses det A = 0 for n >= 4 and det B = det C = 0 for n >= 5."""
     started = time.perf_counter()
+    check_size("magnus", n)
     params = {"trials": trials, "seed": master_seed, "generator": generator,
               "formula": "det A = det B + det C"}
-    if n < 1:
-        raise ValueError("n must be >= 1")
 
     def check(ms: list[Mat2], big: list[Mat2]) -> dict | None:
         det_a, det_b, det_c = (exact_det(x) for x in build_magnus_matrices(ms, big))
@@ -364,6 +404,7 @@ def verify_thm2(
     asserted.  ``exhaustive`` mode sweeps all 2^n sign vectors over a single
     seeded sample."""
     started = time.perf_counter()
+    check_size("thm2", n)
     if eps_mode == "exhaustive":
         cases = _exhaustive_sign_cases(master_seed, n)
     elif eps_mode == "random":
@@ -371,16 +412,16 @@ def verify_thm2(
     else:
         raise ValueError(f"unknown eps mode {eps_mode!r}")
     asserted = n >= 5
-    params = {"trials": trials, "seed": master_seed, "eps_mode": eps_mode,
-              "asserted": asserted}
+    # Only an asserted random-sign report runs ``trials`` cases: exhaustive
+    # mode draws one sample, and below n = 5 one determinant is computed.
+    params = {"trials": trials} if asserted and eps_mode == "random" else {}
+    params.update(seed=master_seed, eps_mode=eps_mode, asserted=asserted)
     if asserted:
         report = _numeric_report("thm2", n, params, started, cases, _thm2_check)
         if report.passed and eps_mode == "exhaustive":
             report.params["cases"] = 2 ** n
         return report
     first = next(cases, None)
-    if eps_mode == "exhaustive":
-        params["cases"] = 2 ** n
     if first is not None:
         _, ms, big, eps = first
         params["informational"] = True

@@ -1,11 +1,16 @@
 """CLI grammar, exit codes, rendering, and output determinism."""
 
+import importlib
+import importlib.util
 import json
 import re
+from pathlib import Path
+
+import pytest
 
 from tracedet import cli
 from tracedet.cli import render_report, run
-from tracedet.verify import verify_thm1
+from tracedet.verify import FAIL, PASS, SIZES, VerificationReport, verify_thm1
 
 
 def test_verify_thm1_single(capsys):
@@ -56,8 +61,10 @@ def test_usage_errors(capsys):
     assert run(["verify", "thm3", "--n", "9"]) == 2
     too_many_signs = str(cli.THM2_EXHAUSTIVE_MAX_N + 1)
     assert run(["verify", "thm2", "--n", too_many_signs, "--eps", "exhaustive"]) == 2
-    assert run(["verify", "magnus", "--n", str(cli.MAGNUS_MAX_N + 1)]) == 2
-    assert run(["verify", "thm2", "--n", str(cli.THM2_RANDOM_MAX_N + 1)]) == 2
+    assert run(["verify", "magnus", "--n", str(SIZES["magnus"].high + 1)]) == 2
+    assert run(["verify", "thm2", "--n", str(SIZES["thm2"].high + 1)]) == 2
+    assert run(["verify", "magnus", "--n", "0"]) == 2
+    assert run(["verify", "thm2", "--n", "0"]) == 2
     assert run(["verify", "trace", "--trials", str(cli.MAX_TRIALS + 1)]) == 2
     assert run(["verify", "all", "--trials", str(cli.MAX_TRIALS + 1)]) == 2
     capsys.readouterr()
@@ -92,8 +99,8 @@ def test_size_bound_accepts_largest_n():
     args = parser.parse_args(["verify", "thm3", "--n", "8"])
     cfg = cli._validated_config(parser, args)
     assert (cfg.target, cfg.n) == ("thm3", 8)
-    for argv in (["magnus", "--n", str(cli.MAGNUS_MAX_N)],
-                 ["thm2", "--n", str(cli.THM2_RANDOM_MAX_N)],
+    for argv in (["magnus", "--n", str(SIZES["magnus"].high)],
+                 ["thm2", "--n", str(SIZES["thm2"].high)],
                  ["trace", "--trials", str(cli.MAX_TRIALS)]):
         cfg = cli._validated_config(parser, parser.parse_args(["verify", *argv]))
         assert cfg.target == argv[0]
@@ -103,6 +110,81 @@ def test_exit_one_on_failure(monkeypatch, capsys):
     monkeypatch.setattr(cli, "verify_thm1", lambda n: verify_thm1(3, corrupt_sign=True))
     assert run(["verify", "thm1", "--n", "3"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+# Each target's checker, named as cli binds it.
+VERIFY_OF_TARGET = {
+    "thm1": "verify_thm1",
+    "thm3": "verify_thm3_family",
+    "cor5": "verify_thm3_family",
+    "cor6": "verify_thm3_family",
+    "thm7": "verify_thm3_family",
+    "magnus": "verify_magnus_numeric",
+    "magnus-original": "verify_magnus_original",
+    "thm2": "verify_thm2",
+    "trace": "verify_trace_relation",
+}
+
+
+def test_every_target_is_listed():
+    assert cli.TARGETS == (*VERIFY_OF_TARGET, "all")
+
+
+@pytest.mark.parametrize("target", list(VERIFY_OF_TARGET))
+def test_jobs_call_the_checker_bound_in_cli(monkeypatch, capsys, target):
+    # The benchmark's tracer wraps these names in cli; a job that bound the
+    # function when the module loaded would bypass the wrapper.
+    calls = []
+
+    def stub(*args):
+        calls.append(args)
+        return VerificationReport(target, None, {}, FAIL, witness={"stub": True})
+
+    monkeypatch.setattr(cli, VERIFY_OF_TARGET[target], stub)
+    assert run(["verify", target]) == 1
+    assert calls
+    assert "FAIL" in capsys.readouterr().out
+
+
+def test_all_runs_every_sweep_in_order(monkeypatch, capsys):
+    calls = []
+    for name in set(VERIFY_OF_TARGET.values()):
+        def record(*args, name=name):
+            calls.append((name, *args))
+            return VerificationReport(name, None, {}, PASS)
+        monkeypatch.setattr(cli, name, record)
+    assert run(["verify", "all", "--trials", "3", "--seed", "5"]) == 0
+    families = (("thm3", range(1, 7)), ("cor5", range(2, 7)), ("cor6", (2, 4, 6)), ("thm7", (2, 4, 6)))
+    assert calls == (
+        [("verify_thm1", n) for n in range(7)]
+        + [("verify_thm3_family", n, f) for f, sizes in families for n in sizes]
+        + [("verify_magnus_numeric", n, 3, 5, g) for g in ("sl2z", "gaussian") for n in range(1, 7)]
+        + [("verify_magnus_original", 3, 5)]
+        + [("verify_thm2", n, 3, 5, "random") for n in (5, 6)]
+        + [("verify_thm2", 5, 3, 5, "exhaustive")]
+        + [("verify_trace_relation", 3, 5, g) for g in ("sl2z", "gaussian")]
+    )
+
+
+def test_benchmark_trace_hooks_exist():
+    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module_name, names in tracing.WRAPPED.items():
+        module = importlib.import_module(module_name)
+        assert [name for name in names if not hasattr(module, name)] == []
+
+
+def test_internal_error_exits_three(monkeypatch, capsys):
+    def broken(n):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "verify_thm1", broken)
+    assert run(["verify", "thm1", "--n", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "tracedet: internal error: RuntimeError: boom\n"
 
 
 def test_out_file(tmp_path, capsys):

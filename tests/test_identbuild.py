@@ -9,13 +9,13 @@ from tracedet.exactpoly import BETA, LAMBDA, Polynomial, entry
 from tracedet.identbuild import (
     COR5,
     COR6,
-    IdentityFamily,
     apply_specialization,
     build_inner_minor,
     build_thm1,
     build_thm3,
 )
-from tracedet.symmat import PolyMatrix
+from tracedet.symmat import OddSizeError, PolyMatrix
+from tracedet.verify import SIZES, check_size
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -180,11 +180,11 @@ def test_cor6_n2():
 def test_cor6_inner_block_is_skew():
     for n in (3, 4, 5):
         spec_a, _, spec_c = apply_specialization(build_thm3(n), COR6)
-        inner = spec_a.submatrix_delete({1}, {1})
-        for i in inner.row_labels:
-            assert inner.entry(i, i).is_zero()
-            for j in inner.col_labels:
-                assert inner.entry(i, j) == -inner.entry(j, i)
+        inner = range(2, n + 1)
+        for i in inner:
+            assert spec_a.entry(i, i).is_zero()
+            for j in inner:
+                assert spec_a.entry(i, j) == -spec_a.entry(j, i)
         # C keeps the parity case split over the skew entries.
         for i in spec_c.row_labels:
             for j in spec_c.col_labels:
@@ -208,18 +208,25 @@ def test_inner_minor():
 
 
 def test_identity_family_validation():
-    IdentityFamily("thm1", 0)
-    IdentityFamily("cor6", 4)
+    check_size("thm1", 0)
+    check_size("cor6", 4)
+    with pytest.raises(KeyError):
+        check_size("nope", 3)
     with pytest.raises(ValueError):
-        IdentityFamily("nope", 3)
+        check_size("thm1", -1)
     with pytest.raises(ValueError):
-        IdentityFamily("thm1", -1)
-    with pytest.raises(ValueError):
-        IdentityFamily("thm3", 0)
-    with pytest.raises(ValueError):
-        IdentityFamily("cor6", 3)
-    with pytest.raises(ValueError):
-        IdentityFamily("thm7", 5)
+        check_size("thm3", 0)
+    with pytest.raises(OddSizeError):
+        check_size("cor6", 3)
+    with pytest.raises(OddSizeError):
+        check_size("thm7", 5)
+    with pytest.raises(ValueError, match="even n >= 2"):
+        check_size("thm7", 0)
+    # Every swept size is valid and within the command-line bound.
+    for identity, sizes in SIZES.items():
+        for n in sizes.sweep:
+            check_size(identity, n)
+        assert max(sizes.sweep) <= sizes.high
 
 
 def test_golden_thm1_n4():

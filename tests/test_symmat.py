@@ -258,35 +258,6 @@ def test_matching_sign_reference():
     assert matching_sign(((1, 4), (2, 3))) == 1
 
 
-def test_submatrix_delete_nothing():
-    m = generic_matrix(3)
-    assert m.submatrix_delete() == m
-
-
-def test_submatrix_delete_row_col():
-    m = generic_matrix(3)
-    sub = m.submatrix_delete({1}, {1})
-    assert sub.row_labels == (2, 3)
-    assert sub.col_labels == (2, 3)
-    assert sub.entry(3, 2) == a(3, 2)
-
-
-def test_submatrix_delete_skew_bookkeeping():
-    m = generic_skew(5)
-    sub = m.submatrix_delete({1, 2, 3}, {1, 4, 5})
-    assert sub.row_labels == (4, 5)
-    assert sub.col_labels == (2, 3)
-    assert sub.entry(4, 2) == -a(2, 4)
-    assert sub.entry(4, 3) == -a(3, 4)
-    assert sub.entry(5, 2) == -a(2, 5)
-    assert sub.entry(5, 3) == -a(3, 5)
-
-
-def test_submatrix_delete_unknown_label():
-    with pytest.raises(UnknownLabelError):
-        generic_matrix(3).submatrix_delete({99}, set())
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_lambda_degree_bound_thm1(n):
     a_mat, b_mat, _ = build_thm1(n)
