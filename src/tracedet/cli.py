@@ -7,8 +7,8 @@ Grammar:
         [--format {text,json}] [--out PATH]
 
 Exit codes: 0 all checks pass, 1 some check failed, 2 usage error (including
-a size range that leaves nothing to check), 3 internal error (a check raised
-an exception).
+a size range that leaves nothing to check and an option the target ignores),
+3 internal error (a check raised an exception; no --out file is left).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -53,6 +54,8 @@ JOBS: dict[str, Callable[[CliConfig, int | None, str], VerificationReport]] = {
 TARGETS = (*JOBS, "all")
 # The targets that sample with --generator; 'all' runs them with both.
 PER_GENERATOR = ("magnus", "trace")
+# The targets that run random trials; the symbolic ones take no --trials.
+TRIALED = ("magnus", "magnus-original", "thm2", "trace")
 
 DEFAULT_TRIALS = 100
 DEFAULT_TRACE_TRIALS = 1000
@@ -99,7 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--trials", type=int, default=None, help="random trials per check")
     v.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed")
     v.add_argument("--generator", choices=(SL2Z, GAUSSIAN), default=None)
-    v.add_argument("--eps", choices=("random", "exhaustive"), default="random")
+    v.add_argument("--eps", choices=("random", "exhaustive"), default=None,
+                   help="thm2 sign vectors (default random)")
     v.add_argument("--format", choices=("text", "json"), default="text", dest="out_format")
     v.add_argument("--out", default=None, help="write the report here instead of stdout")
     return parser
@@ -115,6 +119,16 @@ def _validated_config(parser: argparse.ArgumentParser, args: argparse.Namespace)
         parser.error(f"--trials must be between 1 and {MAX_TRIALS}")
     if args.max_n is not None and args.max_n < 0:
         parser.error("--max-n must be >= 0")
+    # An option the target would ignore is an error, not a silent no-op.
+    if args.eps is not None and target != "thm2":
+        parser.error(f"--eps is not valid for {target}")
+    eps_mode = args.eps or "random"
+    exhaustive = eps_mode == "exhaustive"
+    what = "thm2 --eps exhaustive" if exhaustive else target
+    if args.trials is not None and (target not in (*TRIALED, "all") or exhaustive):
+        parser.error(f"--trials is not valid for {what}")
+    if args.generator is not None and target not in (*PER_GENERATOR, "all"):
+        parser.error(f"--generator is not valid for {target}")
     if args.n is not None:
         if target not in SIZES:
             parser.error(f"--n is not valid for {target}")
@@ -122,9 +136,7 @@ def _validated_config(parser: argparse.ArgumentParser, args: argparse.Namespace)
             check_size(target, args.n)
         except ValueError as exc:
             parser.error(str(exc))
-        high, what = SIZES[target].high, target
-        if target == "thm2" and args.eps == "exhaustive":
-            high, what = THM2_EXHAUSTIVE_MAX_N, "thm2 --eps exhaustive"
+        high = THM2_EXHAUSTIVE_MAX_N if exhaustive else SIZES[target].high
         if args.n > high:
             parser.error(f"--n must be <= {high} for {what}")
     trials = args.trials
@@ -138,7 +150,7 @@ def _validated_config(parser: argparse.ArgumentParser, args: argparse.Namespace)
         trials=trials,
         master_seed=args.seed,
         generator=args.generator,
-        eps_mode=args.eps,
+        eps_mode=eps_mode,
         out_format=args.out_format,
         out_path=args.out,
     )
@@ -230,8 +242,14 @@ def run(argv: Sequence[str] | None = None) -> int:
             reports = [job() for job in jobs]
         except Exception as exc:  # a bug, not a failed identity: exit 3
             print(f"tracedet: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return 3
-        handle.write(render_report(reports, cfg.out_format) + "\n")
+            reports = None
+        else:
+            handle.write(render_report(reports, cfg.out_format) + "\n")
+    if reports is None:
+        # No report rather than an empty file that reads as a truncated one.
+        if cfg.out_path:
+            os.remove(cfg.out_path)
+        return 3
     return 0 if all(r.passed for r in reports) else 1
 
 

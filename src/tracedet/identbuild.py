@@ -54,19 +54,19 @@ def build_thm1(n: int) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
     return a_mat, b_mat, c_mat
 
 
-def build_thm3(n: int, beta: int | None = None) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
+def build_thm3(n: int) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
     """The n x n matrix A (labels 1..n) and (n-1)x(n-1) matrices B, C
     (labels 2..n) satisfying
     det A - beta*(det B + det C) = (a[1,1] - 2*beta) * det((a[i,j])_{2..n}).
 
     The constraint a[i,1] = beta*a[1,i] is baked into A's first column, so
-    no variable a[i,1] with i > 1 ever occurs.  ``beta=None`` keeps beta
-    symbolic; an integer substitutes that value.
+    no variable a[i,1] with i > 1 ever occurs.  beta stays symbolic;
+    apply_specialization substitutes its value for cor5 and cor6.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     lam = Polynomial.of_var(LAMBDA)
-    beta_poly = Polynomial.of_var(BETA) if beta is None else Polynomial.of_int(beta)
+    beta = Polynomial.of_var(BETA)
 
     def a_rule(i: int, j: int) -> Polynomial:
         if i == 1 and j == 1:
@@ -74,7 +74,7 @@ def build_thm3(n: int, beta: int | None = None) -> tuple[PolyMatrix, PolyMatrix,
         if i == 1:
             return lam * _a(1, j)
         if j == 1:
-            return beta_poly * _a(1, i)
+            return beta * _a(1, i)
         return _a(i, j)
 
     def b_rule(i: int, j: int) -> Polynomial:

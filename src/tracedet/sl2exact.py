@@ -57,8 +57,6 @@ class GaussianRational:
         other = _gr(other)
         return GaussianRational(self.re + other.re, self.im + other.im)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "GaussianRational":
         return GaussianRational(-self.re, -self.im)
 
@@ -66,17 +64,12 @@ class GaussianRational:
         other = _gr(other)
         return GaussianRational(self.re - other.re, self.im - other.im)
 
-    def __rsub__(self, other) -> "GaussianRational":
-        return _gr(other) - self
-
     def __mul__(self, other) -> "GaussianRational":
         other = _gr(other)
         return GaussianRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other) -> "GaussianRational":
         other = _gr(other)
@@ -87,9 +80,6 @@ class GaussianRational:
             (self.re * other.re + self.im * other.im) / norm,
             (self.im * other.re - self.re * other.im) / norm,
         )
-
-    def __rtruediv__(self, other) -> "GaussianRational":
-        return _gr(other) / self
 
     def __repr__(self) -> str:
         if not self.im:
@@ -111,27 +101,24 @@ GR_ONE = GaussianRational(Fraction(1))
 
 @dataclass(frozen=True, slots=True)
 class Mat2:
-    """2x2 matrix over the Gaussian rationals."""
+    """Element of SL(2) over the Gaussian rationals.  Entries may be given as
+    ints, Fractions or GaussianRationals; construction raises
+    NotUnimodularError unless the determinant is exactly 1."""
 
     e11: GaussianRational
     e12: GaussianRational
     e21: GaussianRational
     e22: GaussianRational
 
-    @classmethod
-    def of(cls, e11, e12, e21, e22) -> "Mat2":
-        return cls(_gr(e11), _gr(e12), _gr(e21), _gr(e22))
+    def __post_init__(self):
+        for name in ("e11", "e12", "e21", "e22"):
+            object.__setattr__(self, name, _gr(getattr(self, name)))
+        if self.det() != GR_ONE:
+            raise NotUnimodularError(f"determinant {self.det()!r} is not 1")
 
     @classmethod
     def identity(cls) -> "Mat2":
-        return cls.of(1, 0, 0, 1)
-
-    @classmethod
-    def sl2(cls, e11, e12, e21, e22) -> "Mat2":
-        m = cls.of(e11, e12, e21, e22)
-        if m.det() != GR_ONE:
-            raise NotUnimodularError(f"determinant {m.det()!r} is not 1")
-        return m
+        return cls(1, 0, 0, 1)
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
         return Mat2(
@@ -148,32 +135,25 @@ class Mat2:
         return self.e11 * self.e22 - self.e12 * self.e21
 
     def inverse(self) -> "Mat2":
-        d = self.det()
-        if not d:
-            raise SingularError("matrix is singular")
-        adj = Mat2(self.e22, -self.e12, -self.e21, self.e11)
-        if d == GR_ONE:
-            return adj
-        return Mat2(adj.e11 / d, adj.e12 / d, adj.e21 / d, adj.e22 / d)
-
-    def is_unimodular(self) -> bool:
-        return self.det() == GR_ONE
+        """The adjugate, which is the inverse because det = 1."""
+        return Mat2(self.e22, -self.e12, -self.e21, self.e11)
 
     def __repr__(self) -> str:
         return f"[[{self.e11!r}, {self.e12!r}], [{self.e21!r}, {self.e22!r}]]"
 
 
-GEN_S = Mat2.of(0, -1, 1, 0)
-GEN_T = Mat2.of(1, 1, 0, 1)
+GEN_S = Mat2(0, -1, 1, 0)
+GEN_T = Mat2(1, 1, 0, 1)
+# S, S^-1, T and T^-1 as int 4-tuples (e11, e12, e21, e22), in the order
+# random_sl2z draws them from.
+_SL2Z_LETTERS = ((0, -1, 1, 0), (0, 1, -1, 0), (1, 1, 0, 1), (1, -1, 0, 1))
 
 DEFAULT_WORD_LEN = 12
 DEFAULT_HEIGHT_BOUND = 5
 
 
 def trace_relation_check(m: Mat2, big_m: Mat2) -> tuple[GaussianRational, GaussianRational]:
-    """Both sides of tr(m*M^-1) = tr(m)*tr(M) - tr(m*M) for unimodular m, M."""
-    if not m.is_unimodular() or not big_m.is_unimodular():
-        raise NotUnimodularError("trace relation needs determinant-1 inputs")
+    """Both sides of tr(m*M^-1) = tr(m)*tr(M) - tr(m*M)."""
     lhs = (m @ big_m.inverse()).trace()
     rhs = m.trace() * big_m.trace() - (m @ big_m).trace()
     return lhs, rhs
@@ -187,13 +167,14 @@ def _resolve_rng(rng: random.Random | int) -> random.Random:
 
 def random_sl2z(word_len: int, rng: random.Random | int) -> Mat2:
     """Product of word_len uniform factors from {S, S^-1, T, T^-1}; always
-    determinant 1 with integer entries, reproducible for a fixed seed."""
+    determinant 1 with integer entries, reproducible for a fixed seed.  The
+    word is multiplied out over plain ints."""
     gen = _resolve_rng(rng)
-    alphabet = (GEN_S, GEN_S.inverse(), GEN_T, GEN_T.inverse())
-    result = Mat2.identity()
+    a, b, c, d = 1, 0, 0, 1
     for _ in range(word_len):
-        result = result @ gen.choice(alphabet)
-    return result
+        p, q, r, s = gen.choice(_SL2Z_LETTERS)
+        a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
+    return Mat2(a, b, c, d)
 
 
 def _random_fraction(gen: random.Random, height: int) -> Fraction:
@@ -214,7 +195,7 @@ def random_sl2_gaussian(
     b = GaussianRational(_random_fraction(gen, height_bound), _random_fraction(gen, height_bound))
     c = GaussianRational(_random_fraction(gen, height_bound), _random_fraction(gen, height_bound))
     d = (GR_ONE + b * c) / a
-    return Mat2.sl2(a, b, c, d)
+    return Mat2(a, b, c, d)
 
 
 GRMatrix = list[list[GaussianRational]]
@@ -225,13 +206,9 @@ def _thm1_at_trace_point(
 ) -> tuple[tuple[PolyMatrix, PolyMatrix, PolyMatrix], dict[PolyVar, GaussianRational]]:
     """thm1's matrices for n = len(ms) and the point at which they become
     trace matrices: lambda = 1, a[i,0] = tr m_i, a[0,j] = tr M_j and
-    a[i,j] = tr(m_i M_j^-1).  The samples must pair up and be unimodular."""
+    a[i,j] = tr(m_i M_j^-1).  The samples must pair up."""
     if len(ms) != len(big_ms):
         raise LengthMismatchError(f"{len(ms)} m's vs {len(big_ms)} M's")
-    for what, mats in (("m", ms), ("M", big_ms)):
-        for idx, m in enumerate(mats):
-            if not m.is_unimodular():
-                raise NotUnimodularError(f"{what}[{idx}] has determinant {m.det()!r}")
     point = {LAMBDA: GR_ONE}
     point.update((entry(0, j), big.trace()) for j, big in enumerate(big_ms, 1))
     for i, (m, row) in enumerate(zip(ms, trace_matrix(ms, big_ms, invert_right=True)), 1):

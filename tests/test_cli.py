@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from tracedet import cli
-from tracedet.cli import render_report, run
+from tracedet.cli import TARGETS, render_report, run
 from tracedet.verify import FAIL, PASS, SIZES, VerificationReport, verify_thm1
 
 
@@ -68,6 +68,16 @@ def test_usage_errors(capsys):
     assert run(["verify", "trace", "--trials", str(cli.MAX_TRIALS + 1)]) == 2
     assert run(["verify", "all", "--trials", str(cli.MAX_TRIALS + 1)]) == 2
     capsys.readouterr()
+    # An option the target would ignore is rejected before any job runs.
+    ignored = [[t, "--trials", "3"] for t in ("thm1", "thm3", "cor5", "cor6", "thm7")]
+    ignored.append(["thm2", "--eps", "exhaustive", "--trials", "3"])
+    ignored += [[t, "--generator", "gaussian"] for t in TARGETS if t not in ("magnus", "trace", "all")]
+    ignored += [[t, "--eps", "random"] for t in TARGETS if t != "thm2"]
+    for argv in ignored:
+        assert run(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{argv[-2]} is not valid for {argv[0]}" in captured.err
     assert run(["verify", "thm7", "--n", "0"]) == 2
     assert "even n >= 2" in capsys.readouterr().err
     # A size range that leaves nothing to check is a usage error too.
@@ -176,7 +186,7 @@ def test_benchmark_trace_hooks_exist():
         assert [name for name in names if not hasattr(module, name)] == []
 
 
-def test_internal_error_exits_three(monkeypatch, capsys):
+def test_internal_error_exits_three(monkeypatch, capsys, tmp_path):
     def broken(n):
         raise RuntimeError("boom")
 
@@ -185,6 +195,11 @@ def test_internal_error_exits_three(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "tracedet: internal error: RuntimeError: boom\n"
+    # No --out file is left behind, not even an empty one.
+    target = tmp_path / "r.json"
+    assert run(["verify", "thm1", "--n", "1", "--out", str(target)]) == 3
+    assert capsys.readouterr().err == "tracedet: internal error: RuntimeError: boom\n"
+    assert not target.exists()
 
 
 def test_out_file(tmp_path, capsys):
@@ -221,6 +236,20 @@ def test_json_determinism(capsys):
     # Byte-identical once the timing field is zeroed.
     assert re.sub(r'"millis": [0-9.e-]+', '"millis": 0', first) == \
         re.sub(r'"millis": [0-9.e-]+', '"millis": 0', second)
+
+
+GOLDEN_ALL = Path(__file__).parent / "golden" / "verify_all_n6.json"
+
+
+def test_verify_all_matches_golden(capsys):
+    # The golden is `verify all --max-n 6 --trials 10 --seed 42 --format json`
+    # with every millis field removed; the reports must stay byte-identical.
+    argv = ["verify", "all", "--max-n", "6", "--trials", "10", "--seed", "42", "--format", "json"]
+    assert run(argv) == 0
+    reports = json.loads(capsys.readouterr().out)
+    for r in reports:
+        del r["millis"]
+    assert json.dumps(reports, indent=2) + "\n" == GOLDEN_ALL.read_text()
 
 
 def test_all_smoke(capsys):

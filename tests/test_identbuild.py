@@ -151,12 +151,6 @@ def test_thm3_no_first_column_variables():
             assert entry(i, 1) not in seen
 
 
-def test_thm3_beta_value():
-    a_mat, _, _ = build_thm3(2, beta=-1)
-    assert a_mat.entry(2, 1) == -a(1, 2)
-    assert BETA not in a_mat.variables()
-
-
 def test_cor5_n2():
     spec_a, spec_b, spec_c = apply_specialization(build_thm3(2), COR5)
     assert spec_a.entry(1, 1) == Polynomial.of_int(2)

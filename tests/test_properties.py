@@ -1,14 +1,17 @@
-"""Property tests (Hypothesis) for the polynomial ring and the two
-determinant engines.  Examples are derandomized so every run checks the
-same cases."""
+"""Property tests (Hypothesis) for the polynomial ring, the two
+determinant engines and the Gaussian-rational field.  Examples are
+derandomized so every run checks the same cases."""
 
 import itertools
 import math
+from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracedet.exactpoly import BETA, LAMBDA, Polynomial, entry
+from tracedet.sl2exact import GR_ONE, GR_ZERO, GaussianRational, SingularError
 from tracedet.symmat import PolyMatrix, det_dp, det_perm_oracle
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -137,3 +140,30 @@ def test_engines_agree(m, values):
     # catches an error both engines would share through the arithmetic.
     point = dict(zip(MATRIX_VARS, values))
     assert det.evaluate(point, 1) == leibniz_det(m.evaluate(point, 1))
+
+
+rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+gaussians = st.builds(GaussianRational, rationals, rationals)
+
+
+@PROPERTY
+@given(gaussians, gaussians, gaussians)
+def test_gaussian_field_axioms(x, y, z):
+    assert x + y == y + x
+    assert (x + y) + z == x + (y + z)
+    assert x * y == y * x
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + GR_ZERO == x and x * GR_ONE == x
+    assert x + (-x) == GR_ZERO and x - y == x + (-y)
+    assert (x * GR_ZERO).is_zero()
+
+
+@PROPERTY
+@given(gaussians, gaussians)
+def test_gaussian_division(x, y):
+    if y:
+        assert (x / y) * y == x
+        assert y * (GR_ONE / y) == GR_ONE
+    with pytest.raises(SingularError):
+        x / GR_ZERO

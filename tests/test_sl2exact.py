@@ -45,7 +45,7 @@ def test_gaussian_rational_field_ops():
     assert x * y == gr(5, 5)
     assert (x / y) * y == x
     assert x - x == GR_ZERO
-    assert 1 / gr(0, 1) == gr(0, -1)
+    assert GR_ONE / gr(0, 1) == gr(0, -1)
 
 
 def test_gaussian_rational_division_by_zero():
@@ -54,9 +54,10 @@ def test_gaussian_rational_division_by_zero():
 
 
 def test_mat2_identity_and_product():
-    x = Mat2.of(1, 2, 3, 4)
-    assert I2 @ x == x
-    assert GEN_T @ Mat2.of(1, 0, 1, 1) == Mat2.of(2, 1, 1, 1)
+    x = Mat2(2, 3, 1, 2)
+    assert I2 @ x == x @ I2 == x
+    assert GEN_T @ Mat2(1, 0, 1, 1) == Mat2(2, 1, 1, 1)
+    assert Mat2(Fraction(1, 2), 0, 0, 2) @ Mat2(2, 0, 0, Fraction(1, 2)) == I2
 
 
 def test_mat2_det_multiplicative():
@@ -68,22 +69,32 @@ def test_mat2_det_multiplicative():
 
 
 def test_mat2_inverse():
-    assert GEN_T.inverse() == Mat2.of(1, -1, 0, 1)
+    assert GEN_T.inverse() == Mat2(1, -1, 0, 1)
     assert I2.inverse() == I2
-    assert GEN_S.inverse() == Mat2.of(0, 1, -1, 0)
-    general = Mat2.of(2, 0, 0, 1)
-    assert general @ general.inverse() == I2
-    with pytest.raises(SingularError):
-        Mat2.of(1, 1, 1, 1).inverse()
+    assert GEN_S.inverse() == Mat2(0, 1, -1, 0)
+    # det = i*(-i) - (1+i)*0 = 1; the inverse is the adjugate.
+    complex_sl2 = Mat2(gr(0, 1), gr(1, 1), 0, gr(0, -1))
+    assert complex_sl2.inverse() == Mat2(gr(0, -1), gr(-1, -1), 0, gr(0, 1))
+    assert complex_sl2 @ complex_sl2.inverse() == complex_sl2.inverse() @ complex_sl2 == I2
 
 
 def test_sl2_constructor_rejects_non_unimodular():
-    with pytest.raises(NotUnimodularError):
-        Mat2.sl2(2, 0, 0, 1)
+    non_unimodular = {
+        "det 2": (2, 0, 0, 1),
+        "det -2": (0, 1, 2, 0),
+        "singular": (1, 1, 1, 1),
+        "complex det": (gr(0, 1), 0, 0, 1),
+    }
+    for what, entries in non_unimodular.items():
+        with pytest.raises(NotUnimodularError):
+            Mat2(*entries)
+            pytest.fail(f"{what} was accepted")
+    with pytest.raises(TypeError):
+        Mat2(1.0, 0, 0, 1)
 
 
 def test_trace_relation_examples():
-    lhs, rhs = trace_relation_check(GEN_T, Mat2.of(1, 0, 1, 1))
+    lhs, rhs = trace_relation_check(GEN_T, Mat2(1, 0, 1, 1))
     assert lhs == rhs == GR_ONE
     lhs, rhs = trace_relation_check(GEN_T, GEN_S)
     assert lhs == rhs == gr(-1)
@@ -94,7 +105,7 @@ def test_trace_relation_examples():
 
 def test_trace_relation_rejects_non_unimodular():
     with pytest.raises(NotUnimodularError):
-        trace_relation_check(Mat2.of(2, 0, 0, 1), I2)
+        trace_relation_check(Mat2(2, 0, 0, 1), I2)
 
 
 def test_trace_relation_random_pairs():
@@ -115,6 +126,19 @@ def test_random_sl2z_basics():
         for e in (m.e11, m.e12, m.e21, m.e22):
             assert e.im == 0 and e.re.denominator == 1
     assert random_sl2z(12, 99) == random_sl2z(12, 99)
+
+
+def test_random_sl2z_matches_mat2_word_product():
+    # The int sampler draws the same letters in the same order as the Mat2
+    # product over (S, S^-1, T, T^-1), so every seeded sample is unchanged.
+    alphabet = (GEN_S, GEN_S.inverse(), GEN_T, GEN_T.inverse())
+    for seed in range(20):
+        for word_len in range(21):
+            gen = random.Random(seed)
+            expected = I2
+            for _ in range(word_len):
+                expected = expected @ gen.choice(alphabet)
+            assert random_sl2z(word_len, seed) == expected
 
 
 def test_random_sl2_gaussian_basics():
@@ -160,7 +184,7 @@ def test_magnus_matrices_errors():
     with pytest.raises(LengthMismatchError):
         build_magnus_matrices([I2], [I2, I2])
     with pytest.raises(NotUnimodularError):
-        build_magnus_matrices([Mat2.of(2, 0, 0, 1)], [I2])
+        build_magnus_matrices([Mat2(2, 0, 0, 1)], [I2])
 
 
 def _tr(x, y):
@@ -225,7 +249,7 @@ def test_thm2_D_errors():
     with pytest.raises(ValueError):
         build_thm2_D([I2], [I2], [2])
     with pytest.raises(NotUnimodularError):
-        build_thm2_D([Mat2.of(2, 0, 0, 1)], [I2], [1])
+        build_thm2_D([Mat2(2, 0, 0, 1)], [I2], [1])
 
 
 def test_exact_det_identity_and_kernel():
