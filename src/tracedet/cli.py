@@ -76,7 +76,6 @@ MAX_TRIALS = 10_000
 class CliConfig:
     """Fully validated run configuration; built before any computation."""
 
-    command: str
     target: str
     n: int | None
     max_n: int
@@ -143,7 +142,6 @@ def _validated_config(parser: argparse.ArgumentParser, args: argparse.Namespace)
     if trials is None:
         trials = DEFAULT_TRACE_TRIALS if target == "trace" else DEFAULT_TRIALS
     return CliConfig(
-        command=args.command,
         target=target,
         n=args.n,
         max_n=args.max_n if args.max_n is not None else DEFAULT_MAX_N,

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactpoly import LAMBDA, PolyVar, entry
+from .exactpoly import LAMBDA, entry
 from .identbuild import build_thm1
-from .symmat import NonSquareError, PolyMatrix
+from .symmat import NonSquareError
 
 
 class SingularError(ZeroDivisionError):
@@ -103,7 +103,9 @@ GR_ONE = GaussianRational(Fraction(1))
 class Mat2:
     """Element of SL(2) over the Gaussian rationals.  Entries may be given as
     ints, Fractions or GaussianRationals; construction raises
-    NotUnimodularError unless the determinant is exactly 1."""
+    NotUnimodularError unless the determinant is exactly 1.  The numeric
+    checks build one per sample and reach products only through
+    trace_matrix."""
 
     e11: GaussianRational
     e12: GaussianRational
@@ -149,14 +151,14 @@ GEN_T = Mat2(1, 1, 0, 1)
 _SL2Z_LETTERS = ((0, -1, 1, 0), (0, 1, -1, 0), (1, 1, 0, 1), (1, -1, 0, 1))
 
 DEFAULT_WORD_LEN = 12
-DEFAULT_HEIGHT_BOUND = 5
+HEIGHT_BOUND = 5
 
 
 def trace_relation_check(m: Mat2, big_m: Mat2) -> tuple[GaussianRational, GaussianRational]:
     """Both sides of tr(m*M^-1) = tr(m)*tr(M) - tr(m*M)."""
-    lhs = (m @ big_m.inverse()).trace()
-    rhs = m.trace() * big_m.trace() - (m @ big_m).trace()
-    return lhs, rhs
+    ((lhs,),) = trace_matrix([m], [big_m], invert_right=True)
+    ((cross,),) = trace_matrix([m], [big_m])
+    return lhs, m.trace() * big_m.trace() - cross
 
 
 def _resolve_rng(rng: random.Random | int) -> random.Random:
@@ -177,44 +179,29 @@ def random_sl2z(word_len: int, rng: random.Random | int) -> Mat2:
     return Mat2(a, b, c, d)
 
 
-def _random_fraction(gen: random.Random, height: int) -> Fraction:
-    return Fraction(gen.randint(-height, height), gen.randint(1, height))
+def _random_gaussian(gen: random.Random) -> GaussianRational:
+    """re and im each p/q with |p| <= HEIGHT_BOUND and 1 <= q <= HEIGHT_BOUND."""
+    re = Fraction(gen.randint(-HEIGHT_BOUND, HEIGHT_BOUND), gen.randint(1, HEIGHT_BOUND))
+    im = Fraction(gen.randint(-HEIGHT_BOUND, HEIGHT_BOUND), gen.randint(1, HEIGHT_BOUND))
+    return GaussianRational(re, im)
 
 
-def random_sl2_gaussian(
-    rng: random.Random | int, height_bound: int = DEFAULT_HEIGHT_BOUND
-) -> Mat2:
+def random_sl2_gaussian(rng: random.Random | int) -> Mat2:
     """Determinant-1 matrix with genuinely complex entries: a, b, c are
-    random Gaussian rationals of bounded height (a resampled until nonzero)
-    and d = (1 + b*c)/a."""
+    random Gaussian rationals of height HEIGHT_BOUND (a resampled until
+    nonzero) and d = (1 + b*c)/a."""
     gen = _resolve_rng(rng)
     while True:
-        a = GaussianRational(_random_fraction(gen, height_bound), _random_fraction(gen, height_bound))
+        a = _random_gaussian(gen)
         if a:
             break
-    b = GaussianRational(_random_fraction(gen, height_bound), _random_fraction(gen, height_bound))
-    c = GaussianRational(_random_fraction(gen, height_bound), _random_fraction(gen, height_bound))
+    b = _random_gaussian(gen)
+    c = _random_gaussian(gen)
     d = (GR_ONE + b * c) / a
     return Mat2(a, b, c, d)
 
 
 GRMatrix = list[list[GaussianRational]]
-
-
-def _thm1_at_trace_point(
-    ms: Sequence[Mat2], big_ms: Sequence[Mat2]
-) -> tuple[tuple[PolyMatrix, PolyMatrix, PolyMatrix], dict[PolyVar, GaussianRational]]:
-    """thm1's matrices for n = len(ms) and the point at which they become
-    trace matrices: lambda = 1, a[i,0] = tr m_i, a[0,j] = tr M_j and
-    a[i,j] = tr(m_i M_j^-1).  The samples must pair up."""
-    if len(ms) != len(big_ms):
-        raise LengthMismatchError(f"{len(ms)} m's vs {len(big_ms)} M's")
-    point = {LAMBDA: GR_ONE}
-    point.update((entry(0, j), big.trace()) for j, big in enumerate(big_ms, 1))
-    for i, (m, row) in enumerate(zip(ms, trace_matrix(ms, big_ms, invert_right=True)), 1):
-        point[entry(i, 0)] = m.trace()
-        point.update((entry(i, j), x) for j, x in enumerate(row, 1))
-    return build_thm1(len(ms)), point
 
 
 def build_magnus_matrices(
@@ -226,9 +213,18 @@ def build_magnus_matrices(
     i+j is even and tr(m_i M_j) otherwise; B[i][j] = -tr(m_i M_j) and
     C[i][j] = tr(m_i M_j^-1) for 1 <= i, j <= n.  Note B carries the minus
     sign, so the identity reads det A = det B + det C.  A, -B and C are
-    thm1's matrices at the trace point, by tr(mM) = tr m tr M - tr(mM^-1).
+    thm1's matrices at the trace point lambda = 1, a[i,0] = tr m_i,
+    a[0,j] = tr M_j and a[i,j] = tr(m_i M_j^-1), by
+    tr(mM) = tr m tr M - tr(mM^-1).  The samples must pair up.
     """
-    (a_poly, b_poly, c_poly), point = _thm1_at_trace_point(ms, big_ms)
+    if len(ms) != len(big_ms):
+        raise LengthMismatchError(f"{len(ms)} m's vs {len(big_ms)} M's")
+    point = {LAMBDA: GR_ONE}
+    point.update((entry(0, j), big.trace()) for j, big in enumerate(big_ms, 1))
+    for i, (m, row) in enumerate(zip(ms, trace_matrix(ms, big_ms, invert_right=True)), 1):
+        point[entry(i, 0)] = m.trace()
+        point.update((entry(i, j), x) for j, x in enumerate(row, 1))
+    a_poly, b_poly, c_poly = build_thm1(len(ms))
     return (
         a_poly.evaluate(point, GR_ONE),
         [[-x for x in row] for row in b_poly.evaluate(point, GR_ONE)],
@@ -236,34 +232,34 @@ def build_magnus_matrices(
     )
 
 
-def validate_sign_vector(eps: Sequence[int]) -> tuple[int, ...]:
-    vec = tuple(eps)
-    if any(e not in (1, -1) for e in vec):
-        raise ValueError(f"sign vector entries must be +1 or -1, got {vec}")
-    return vec
-
-
 def build_thm2_D(
     ms: Sequence[Mat2], big_ms: Sequence[Mat2], eps: Sequence[int]
 ) -> GRMatrix:
     """The n x n matrix D[i][j] = tr(m_i M_j^{eps_i}); row i uses the single
-    exponent eps_i throughout, so it is row i of thm1's B (eps_i = +1) or C
-    (eps_i = -1) at the trace point."""
+    exponent eps_i throughout, so it is one trace-matrix row, with every M_j
+    inverted when eps_i = -1."""
     if len(eps) != len(ms):
         raise LengthMismatchError(f"{len(eps)} signs vs {len(ms)} m's")
-    vec = validate_sign_vector(eps)
-    (_, b_poly, c_poly), point = _thm1_at_trace_point(ms, big_ms)
-    return [
-        [(b_poly if e == 1 else c_poly).entry(i, j).evaluate(point, GR_ONE) for j in b_poly.col_labels]
-        for i, e in enumerate(vec, 1)
-    ]
+    if any(e not in (1, -1) for e in eps):
+        raise ValueError(f"sign vector entries must be +1 or -1, got {tuple(eps)}")
+    if len(ms) != len(big_ms):
+        raise LengthMismatchError(f"{len(ms)} m's vs {len(big_ms)} M's")
+    return [trace_matrix([m], big_ms, invert_right=e == -1)[0] for m, e in zip(ms, eps)]
 
 
 def trace_matrix(left: Sequence[Mat2], right: Sequence[Mat2], invert_right: bool = False) -> GRMatrix:
-    """The matrix (tr(left_i * right_j)) or (tr(left_i * right_j^-1))."""
-    cols = [x.inverse() for x in right] if invert_right else list(right)
+    """The matrix (tr(left_i * right_j)) or (tr(left_i * right_j^-1)).
+
+    No product or inverse is built: tr(xy) is x11 y11 + x12 y21 + x21 y12 +
+    x22 y22, and y^-1 is the adjugate of y because a Mat2 has det = 1.
+    """
+    if invert_right:
+        return [
+            [x.e11 * y.e22 - x.e12 * y.e21 - x.e21 * y.e12 + x.e22 * y.e11 for y in right]
+            for x in left
+        ]
     return [
-        [x.e11 * y.e11 + x.e12 * y.e21 + x.e21 * y.e12 + x.e22 * y.e22 for y in cols]
+        [x.e11 * y.e11 + x.e12 * y.e21 + x.e21 * y.e12 + x.e22 * y.e22 for y in right]
         for x in left
     ]
 

@@ -156,14 +156,6 @@ class PolyMatrix:
         return f"PolyMatrix({len(self.row_labels)}x{len(self.col_labels)})"
 
 
-def _require_square(m: PolyMatrix) -> int:
-    if not m.is_square:
-        raise NonSquareError(
-            f"{len(m.row_labels)}x{len(m.col_labels)} matrix is not square"
-        )
-    return len(m.row_labels)
-
-
 def perm_sign(perm: Sequence[int]) -> int:
     """Sign of a permutation given as a sequence of distinct comparables."""
     sign = 1
@@ -175,7 +167,7 @@ def perm_sign(perm: Sequence[int]) -> int:
     return sign
 
 
-def det_dp(m: PolyMatrix, size_bound: int | None = None) -> Polynomial:
+def det_dp(m: PolyMatrix) -> Polynomial:
     """Determinant by Laplace expansion along rows with minors memoized per
     column subset (dynamic programming over bitmasks).
 
@@ -184,10 +176,9 @@ def det_dp(m: PolyMatrix, size_bound: int | None = None) -> Polynomial:
     most two layers are alive at once.  The empty 0x0 matrix has
     determinant 1.
     """
-    n = _require_square(m)
-    bound = DET_DP_SIZE_BOUND if size_bound is None else size_bound
-    if n > bound:
-        raise SizeExceededError(f"size {n} exceeds det_dp bound {bound}")
+    n = m.size
+    if n > DET_DP_SIZE_BOUND:
+        raise SizeExceededError(f"size {n} exceeds det_dp bound {DET_DP_SIZE_BOUND}")
     rows = m.row_labels
     cols = m.col_labels
     masks_by_size: list[list[int]] = [[] for _ in range(n + 1)]
@@ -216,7 +207,7 @@ def det_perm_oracle(m: PolyMatrix, size_bound: int | None = None) -> Polynomial:
     Kept structurally independent of det_dp so each engine can act as the
     other's oracle; factorial cost limits it to small sizes.
     """
-    n = _require_square(m)
+    n = m.size
     bound = DET_PERM_SIZE_BOUND if size_bound is None else size_bound
     if n > bound:
         raise SizeExceededError(f"size {n} exceeds det_perm_oracle bound {bound}")
@@ -242,7 +233,7 @@ def det_signed_perm_expansion(
     """
     if parity_rule not in (EVEN_CORRECTED, ODD_CORRECTED):
         raise ValueError(f"unknown parity rule {parity_rule!r}")
-    n = _require_square(base)
+    n = base.size
     if base.row_labels != base.col_labels:
         raise ValueError("signed-permutation expansion needs matching row/col labels")
     if n > SIGNED_PERM_SIZE_BOUND:
@@ -301,7 +292,7 @@ def matching_sign(matching: Sequence[tuple[int, int]]) -> int:
 
 
 def _check_skew(m: PolyMatrix) -> tuple[int, tuple[int, ...]]:
-    n = _require_square(m)
+    n = m.size
     if m.row_labels != m.col_labels:
         raise NotSkewError("Pfaffian needs identical row and column labels")
     if n % 2 != 0:
@@ -321,19 +312,12 @@ def _check_skew(m: PolyMatrix) -> tuple[int, tuple[int, ...]]:
     return n, labels
 
 
-def _reference_sign(labels: Sequence[int]) -> int:
-    # Normalization so the crossing matching (l1,ln)(l2,ln-1)... carries +1.
-    items = sorted(labels)
-    half = len(items) // 2
-    reference = tuple((items[k], items[-1 - k]) for k in range(half))
-    return matching_sign(reference) if reference else 1
-
-
 def pfaffian(m: PolyMatrix) -> Polynomial:
     """Pfaffian as the signed sum over perfect matchings of the labels.
 
     Sign convention: the matching (l1,ln)(l2,ln-1)... of the sorted labels
-    contributes +1; pfaffian(m)**2 equals det(m).
+    contributes +1, as matching_sign gives it (its flattened permutation has
+    an even number of inversions); pfaffian(m)**2 equals det(m).
     """
     even_part, odd_part = pfaffian_split(m)
     return even_part + odd_part
@@ -345,17 +329,14 @@ def pfaffian_split(m: PolyMatrix) -> tuple[Polynomial, Polynomial]:
     n, labels = _check_skew(m)
     if n == 0:
         return Polynomial.of_int(1), Polynomial.zero()
-    norm = _reference_sign(labels)
-    first = min(labels)
     even_part = Polynomial.zero()
     odd_part = Polynomial.zero()
     for matching in perfect_matchings(labels):
-        partner = next((j if i == first else i for i, j in matching if first in (i, j)), None)
-        if partner is None:
-            raise AssertionError("matching does not cover the smallest label")
+        # perfect_matchings pairs the smallest label first.
+        partner = matching[0][1]
         _add_product(
             even_part if partner % 2 == 0 else odd_part,
-            matching_sign(matching) * norm,
+            matching_sign(matching),
             *(m.entry(i, j) for i, j in matching),
         )
     return even_part, odd_part

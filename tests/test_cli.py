@@ -10,7 +10,8 @@ import pytest
 
 from tracedet import cli
 from tracedet.cli import TARGETS, render_report, run
-from tracedet.verify import FAIL, PASS, SIZES, VerificationReport, verify_thm1
+from tracedet.sl2exact import mat2_to_json
+from tracedet.verify import FAIL, GAUSSIAN, PASS, SIZES, SL2Z, VerificationReport, _trials, verify_thm1
 
 
 def test_verify_thm1_single(capsys):
@@ -250,6 +251,24 @@ def test_verify_all_matches_golden(capsys):
     for r in reports:
         del r["millis"]
     assert json.dumps(reports, indent=2) + "\n" == GOLDEN_ALL.read_text()
+
+
+GOLDEN_SAMPLES = Path(__file__).parent / "golden" / "samples_seed42.json"
+
+
+def test_samples_match_golden(capsys):
+    # verify_all_n6.json pins verdicts only: every report in it passes, so
+    # none carries a sample.  This pins what the samplers draw (trial 0 of
+    # _trials(g, 42, 3, 1) for each generator) and the informational
+    # det_sample of `verify thm2 --n 4 --trials 1 --seed 42`.
+    samples = {}
+    for gen in (SL2Z, GAUSSIAN):
+        _, ms, big = next(_trials(gen, 42, 3, 1))
+        samples[gen] = {"m": [mat2_to_json(x) for x in ms], "M": [mat2_to_json(x) for x in big]}
+    assert run(["verify", "thm2", "--n", "4", "--trials", "1", "--seed", "42", "--format", "json"]) == 0
+    (report,) = json.loads(capsys.readouterr().out)
+    pinned = {"trial0_n3": samples, "thm2_n4_det_sample": report["params"]["det_sample"]}
+    assert json.dumps(pinned, indent=2) + "\n" == GOLDEN_SAMPLES.read_text()
 
 
 def test_all_smoke(capsys):

@@ -9,6 +9,7 @@ from tracedet.sl2exact import (
     DEFAULT_WORD_LEN,
     GR_ONE,
     GR_ZERO,
+    Mat2,
     gaussian_to_json,
     mat2_to_json,
     random_sl2z,
@@ -243,6 +244,23 @@ def test_thm2_below_threshold_computes_one_determinant(monkeypatch):
     r = verify_thm2(3, 5, 7, "exhaustive")
     assert len(calls) == 1
     assert "cases" not in r.params and "trials" not in r.params
+
+
+@pytest.mark.parametrize("run_check,draws", [
+    pytest.param(lambda: verify_trace_relation(50, 42, "gaussian"), 50 * 2, id="trace"),
+    pytest.param(lambda: verify_magnus_numeric(5, 3, 42, "gaussian"), 3 * 2 * 5, id="magnus"),
+    pytest.param(lambda: verify_thm2(5, 3, 42), 3 * 2 * 5, id="thm2"),
+])
+def test_numeric_checks_build_one_mat2_per_sample(monkeypatch, run_check, draws):
+    # Products and inverses are never built as Mat2s, so det = 1 is checked
+    # once per drawn sample and nowhere else.
+    built, sampled = [], []
+    post_init, sample = Mat2.__post_init__, verify._sample_mat
+    monkeypatch.setattr(Mat2, "__post_init__", lambda self: built.append(1) or post_init(self))
+    monkeypatch.setattr(verify, "_sample_mat", lambda *a: sampled.append(1) or sample(*a))
+    assert run_check().passed
+    assert len(sampled) == draws
+    assert len(built) == draws
 
 
 def test_thm7_fails_when_the_pfaffian_term_is_wrong(monkeypatch):
