@@ -9,8 +9,10 @@ Grammar:
 Exit codes: 0 all checks pass, 1 some check failed, 2 usage error (including
 a size range that leaves nothing to check and an option the target ignores)
 or a report that cannot be written, 3 internal error (a check raised an
-exception).  On exit 2 or 3 no partial report is left at --out, but only a
-regular file there is ever removed.
+exception).  --out is checked before any job runs but emptied only when the
+report is written, so on exit 3 a file that was there keeps its contents and
+one the run created is removed; a report that cannot be written is removed
+too.  Only a regular file is ever removed.
 """
 
 from __future__ import annotations
@@ -197,15 +199,17 @@ def _cannot_write(path: str, exc: OSError) -> int:
     return 2
 
 
-def _discard(out: TextIO, path: str) -> None:
-    """Close --out and remove it, so that no file reads as a truncated
-    report; only a regular file is removed, never a device or a symlink."""
+def _discard(out: TextIO, path: str, remove: bool) -> None:
+    """Close --out and, if ``remove``, remove the file it leads to, so that
+    no file reads as a truncated report; only a regular file is removed,
+    never a device or a symlink."""
     try:
         out.close()
     except OSError:  # closing flushes again what could not be written
         pass
-    if os.path.isfile(path) and not os.path.islink(path):
-        os.remove(path)
+    target = os.path.realpath(path)
+    if remove and os.path.isfile(target):
+        os.remove(target)
 
 
 def run(argv: Sequence[str] | None = None) -> int:
@@ -219,7 +223,10 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        out = open(cfg.out, "w", encoding="utf-8") if cfg.out else sys.stdout
+        # Append mode checks that --out is writable without emptying it.  A
+        # file is the run's to remove once the run has created or emptied it.
+        disposable = bool(cfg.out) and not os.path.exists(cfg.out)
+        out = open(cfg.out, "a", encoding="utf-8") if cfg.out else sys.stdout
         if out is None:  # file descriptor 1 was closed at start-up
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     except OSError as exc:
@@ -231,17 +238,20 @@ def run(argv: Sequence[str] | None = None) -> int:
     except Exception as exc:
         print(f"tracedet: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         if cfg.out:
-            _discard(out, cfg.out)
+            _discard(out, cfg.out, remove=disposable)
         return 3
     # Write: one guarded write, to stdout or to --out.
     try:
+        if cfg.out and os.path.isfile(cfg.out):
+            out.truncate(0)
+            disposable = True
         out.write(text)
         out.flush()
         if cfg.out:
             out.close()
     except OSError as exc:
         if cfg.out:
-            _discard(out, cfg.out)
+            _discard(out, cfg.out, remove=disposable)
         else:  # what sys.stdout still buffers would fail again at exit
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return _cannot_write(cfg.out or "stdout", exc)

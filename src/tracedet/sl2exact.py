@@ -1,15 +1,20 @@
 """Exact 2x2 linear algebra over the Gaussian rationals: SL(2) samplers,
 trace matrices, and exact determinant / left-kernel computation.
 
-Floating point is banned here; every scalar is a pair of Fractions.
+Floating point is banned here.  Samples, determinants, kernel vectors and
+reports hold GaussianRationals (pairs of Fractions).  Trace matrices are
+built and eliminated over the Gaussian integers (pairs of ints): each is a
+ScaledMatrix, an integer matrix with one positive int scale per row and per
+column, reduced by one fraction-free routine, _echelon.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exactpoly import LAMBDA, entry
 from .identbuild import build_thm1
@@ -26,6 +31,11 @@ class NotUnimodularError(ValueError):
 
 class LengthMismatchError(ValueError):
     pass
+
+
+class InexactDivisionError(ArithmeticError):
+    """A division in the fraction-free elimination left a remainder, which no
+    matrix over Z[i] can cause: an internal error, not a failed identity."""
 
 
 def _frac(x) -> Fraction:
@@ -158,8 +168,8 @@ def trace_relation_check(m: Mat2, big_m: Mat2) -> tuple[GaussianRational, Gaussi
     """Both sides of tr(m*M^-1) = tr(m)*tr(M) - tr(m*M), with M^-1 taken as
     adj(M)/det(M) (with adj(M) alone both sides are one polynomial).  Mat2
     admits det = 1 only, so no pair it builds makes the sides differ."""
-    ((adj_trace,),) = trace_matrix([m], [big_m], invert_right=True)
-    ((cross,),) = trace_matrix([m], [big_m])
+    ((adj_trace,),) = trace_matrix([m], [big_m], invert_right=True).to_rows()
+    ((cross,),) = trace_matrix([m], [big_m]).to_rows()
     return adj_trace / big_m.det(), m.trace() * big_m.trace() - cross
 
 
@@ -206,9 +216,110 @@ def random_sl2_gaussian(rng: random.Random | int) -> Mat2:
 GRMatrix = list[list[GaussianRational]]
 
 
+class GaussianInt(NamedTuple):
+    """Exact Gaussian integer re + im*i.  It is a pair of ints, so the
+    elimination loops unpack it directly; the ring operators are what
+    Polynomial.evaluate needs to evaluate thm1 over Z[i]."""
+
+    re: int = 0
+    im: int = 0
+
+    def __bool__(self) -> bool:
+        return bool(self.re or self.im)
+
+    def __neg__(self) -> "GaussianInt":
+        return GaussianInt(-self.re, -self.im)
+
+    def __add__(self, other: "GaussianInt") -> "GaussianInt":
+        return GaussianInt(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other: "GaussianInt") -> "GaussianInt":
+        return GaussianInt(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other: "GaussianInt | int") -> "GaussianInt":
+        if isinstance(other, int):
+            return GaussianInt(self.re * other, self.im * other)
+        a, b = self
+        c, d = other
+        return GaussianInt(a * c - b * d, a * d + b * c)
+
+    __rmul__ = __mul__
+
+
+ZI_ONE = GaussianInt(1)
+
+
+def _over_zi(values: Sequence[GaussianRational]) -> tuple[list[GaussianInt], int]:
+    """The values as z/d: z over Z[i], and d > 0 the lcm of their denominators."""
+    d = math.lcm(*(x.denominator for g in values for x in (g.re, g.im)))
+    return [
+        GaussianInt(g.re.numerator * (d // g.re.denominator), g.im.numerator * (d // g.im.denominator))
+        for g in values
+    ], d
+
+
+def _gr_over(re: int, im: int, den: int) -> GaussianRational:
+    return GaussianRational(Fraction(re, den), Fraction(im, den))
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class ScaledMatrix:
+    """The matrix diag(1/row_den) * num * diag(1/col_den), with num over Z[i]
+    and positive int scales.  Trace matrices are built and eliminated in this
+    form, so no Fraction is formed until a result leaves; to_rows() gives
+    the Gaussian-rational entries."""
+
+    num: list[list[GaussianInt]]
+    row_den: list[int]
+    col_den: list[int]
+
+    def to_rows(self) -> GRMatrix:
+        return [
+            [_gr_over(x.re, x.im, r * c) for x, c in zip(row, self.col_den)]
+            for row, r in zip(self.num, self.row_den)
+        ]
+
+
+def _scaled(rows: ScaledMatrix | GRMatrix) -> ScaledMatrix:
+    """rows itself, or Gaussian-rational rows scaled to Z[i] row by row."""
+    if isinstance(rows, ScaledMatrix):
+        return rows
+    scaled = [_over_zi(row) for row in rows]
+    cols = len(rows[0]) if rows else 0
+    return ScaledMatrix([z for z, _ in scaled], [d for _, d in scaled], [1] * cols)
+
+
+def _integrals(mats: Sequence[Mat2]) -> tuple[list[list[GaussianInt]], list[int]]:
+    """Each Mat2 as N/d: the entries e11, e12, e21, e22 of N over Z[i], and d."""
+    forms = [_over_zi((m.e11, m.e12, m.e21, m.e22)) for m in mats]
+    return [n for n, _ in forms], [d for _, d in forms]
+
+
+def _dot(xs: Sequence[GaussianInt], ys: Sequence[GaussianInt]) -> GaussianInt:
+    """sum_k xs[k] * ys[k] over Z[i]; entries may be GaussianInts or (re, im) pairs."""
+    re = im = 0
+    for (a, b), (c, d) in zip(xs, ys):
+        re += a * c - b * d
+        im += a * d + b * c
+    return GaussianInt(re, im)
+
+
+def _trace_nums(
+    left: list[list[GaussianInt]], right: list[list[GaussianInt]], invert_right: bool
+) -> list[list[GaussianInt]]:
+    """tr(x y), or tr(x adj y), for each x of left and y of right (entries
+    e11, e12, e21, e22 over Z[i]): tr(x z) = x11 z11 + x12 z21 + x21 z12 +
+    x22 z22, and adj y = [[y22, -y12], [-y21, y11]]."""
+    if invert_right:
+        partners = [(y22, -y21, -y12, y11) for y11, y12, y21, y22 in right]
+    else:
+        partners = [(y11, y21, y12, y22) for y11, y12, y21, y22 in right]
+    return [[_dot(x, z) for z in partners] for x in left]
+
+
 def build_magnus_matrices(
     ms: Sequence[Mat2], big_ms: Sequence[Mat2]
-) -> tuple[GRMatrix, GRMatrix, GRMatrix]:
+) -> tuple[ScaledMatrix, ScaledMatrix, ScaledMatrix]:
     """Trace matrices A, B, C for the generalized determinant identity.
 
     With m_0 = M_0 = I: A is (n+1)x(n+1) with A[i][j] = tr(m_i M_j^-1) when
@@ -218,25 +329,32 @@ def build_magnus_matrices(
     thm1's matrices at the trace point lambda = 1, a[i,0] = tr m_i,
     a[0,j] = tr M_j and a[i,j] = tr(m_i M_j^-1), by
     tr(mM) = tr m tr M - tr(mM^-1).  The samples must pair up.
+
+    With m_i = N_i/d_i and M_j = N'_j/D_j (N over Z[i]), every monomial of
+    entry (i, j) has degree one in row i's sample and one in column j's (the
+    border I has scale 1), so thm1 is evaluated over Z[i] at the traces of
+    N_i, N'_j and N_i adj N'_j, and the scales are d_i and D_j.
     """
     if len(ms) != len(big_ms):
         raise LengthMismatchError(f"{len(ms)} m's vs {len(big_ms)} M's")
-    point = {LAMBDA: GR_ONE}
-    point.update((entry(0, j), big.trace()) for j, big in enumerate(big_ms, 1))
-    for i, (m, row) in enumerate(zip(ms, trace_matrix(ms, big_ms, invert_right=True)), 1):
-        point[entry(i, 0)] = m.trace()
-        point.update((entry(i, j), x) for j, x in enumerate(row, 1))
+    nums, dens = _integrals(ms)
+    big_nums, big_dens = _integrals(big_ms)
+    point = {LAMBDA: ZI_ONE}
+    point.update((entry(0, j), y[0] + y[3]) for j, y in enumerate(big_nums, 1))
+    for i, (x, row) in enumerate(zip(nums, _trace_nums(nums, big_nums, True)), 1):
+        point[entry(i, 0)] = x[0] + x[3]
+        point.update((entry(i, j), t) for j, t in enumerate(row, 1))
     a_poly, b_poly, c_poly = build_thm1(len(ms))
     return (
-        a_poly.evaluate(point, GR_ONE),
-        [[-x for x in row] for row in b_poly.evaluate(point, GR_ONE)],
-        c_poly.evaluate(point, GR_ONE),
+        ScaledMatrix(a_poly.evaluate(point, ZI_ONE), [1, *dens], [1, *big_dens]),
+        ScaledMatrix([[-x for x in row] for row in b_poly.evaluate(point, ZI_ONE)], dens, big_dens),
+        ScaledMatrix(c_poly.evaluate(point, ZI_ONE), dens, big_dens),
     )
 
 
 def build_thm2_D(
     ms: Sequence[Mat2], big_ms: Sequence[Mat2], eps: Sequence[int]
-) -> GRMatrix:
+) -> ScaledMatrix:
     """The n x n matrix D[i][j] = tr(m_i M_j^{eps_i}); row i uses the single
     exponent eps_i throughout, so it is one trace-matrix row, with every M_j
     inverted when eps_i = -1."""
@@ -246,34 +364,54 @@ def build_thm2_D(
         raise ValueError(f"sign vector entries must be +1 or -1, got {tuple(eps)}")
     if len(ms) != len(big_ms):
         raise LengthMismatchError(f"{len(ms)} m's vs {len(big_ms)} M's")
-    return [trace_matrix([m], big_ms, invert_right=e == -1)[0] for m, e in zip(ms, eps)]
+    nums, dens = _integrals(ms)
+    big_nums, big_dens = _integrals(big_ms)
+    rows = [_trace_nums([x], big_nums, e == -1)[0] for x, e in zip(nums, eps)]
+    return ScaledMatrix(rows, dens, big_dens)
 
 
-def trace_matrix(left: Sequence[Mat2], right: Sequence[Mat2], invert_right: bool = False) -> GRMatrix:
+def trace_matrix(left: Sequence[Mat2], right: Sequence[Mat2], invert_right: bool = False) -> ScaledMatrix:
     """The matrix (tr(left_i * right_j)) or (tr(left_i * right_j^-1)).
 
-    No product or inverse is built: tr(xy) is x11 y11 + x12 y21 + x21 y12 +
-    x22 y22, and y^-1 is the adjugate of y because a Mat2 has det = 1.
+    No product or inverse is built: y^-1 is the adjugate of y because a Mat2
+    has det = 1, and the traces are taken over Z[i] with the scales of the
+    samples' integral forms.
     """
-    if invert_right:
-        return [
-            [x.e11 * y.e22 - x.e12 * y.e21 - x.e21 * y.e12 + x.e22 * y.e11 for y in right]
-            for x in left
-        ]
-    return [
-        [x.e11 * y.e11 + x.e12 * y.e21 + x.e21 * y.e12 + x.e22 * y.e22 for y in right]
-        for x in left
-    ]
+    nums, dens = _integrals(left)
+    right_nums, right_dens = _integrals(right)
+    return ScaledMatrix(_trace_nums(nums, right_nums, invert_right), dens, right_dens)
 
 
-def _echelon(rows: GRMatrix) -> tuple[GRMatrix, list[tuple[int, int]], int]:
-    """Row-reduce a copy of the square matrix over the field, pivoting on the
-    first nonzero entry of each column and skipping columns with none.
+def _divexact(xr: int, xi: int, qr: int, qi: int) -> tuple[int, int]:
+    """(xr + xi*i) / (qr + qi*i) in Z[i], as x * conj(q) / |q|^2; raises
+    InexactDivisionError on a remainder instead of rounding."""
+    if qi:
+        norm = qr * qr + qi * qi
+        yr, rr = divmod(xr * qr + xi * qi, norm)
+        yi, ri = divmod(xi * qr - xr * qi, norm)
+    else:
+        yr, rr = divmod(xr, qr)
+        yi, ri = divmod(xi, qr)
+    if rr or ri:
+        raise InexactDivisionError(f"({xr}{xi:+}i) / ({qr}{qi:+}i) is not a Gaussian integer")
+    return yr, yi
 
-    Returns the reduced rows, the (row, col) pivot positions in order and
-    the parity of the row swaps.  The pivots and the entries right of each
-    pivot are exact; entries below a pivot are left unspecified, because
-    neither the determinant nor the back-substitution reads them.
+
+def _echelon(rows: Sequence[Sequence[GaussianInt]]) -> tuple[list[list], list[tuple[int, int]], int]:
+    """Fraction-free (Bareiss 1968) row reduction of a copy of the square
+    matrix over Z[i], pivoting on the first nonzero entry of each column and
+    skipping columns with none.
+
+    Each step sets a = (p*a - f*t) / q below the pivot p, with f the entry
+    in the pivot column, t the pivot row's entry and q the previous pivot
+    (1 at first).  After k pivots an entry is the minor on the pivot rows
+    and columns plus its own row and column, so every division is exact.
+    Returns the reduced rows (entries are (re, im) pairs), the (row, col)
+    pivot positions in order and the parity of the row swaps.  At full rank
+    the last pivot is the determinant up to that sign.  Each pivot row is a
+    nonzero multiple of the row plain elimination would give; entries below
+    a pivot are left unspecified, because neither the determinant nor the
+    back-substitution reads them.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
@@ -281,71 +419,85 @@ def _echelon(rows: GRMatrix) -> tuple[GRMatrix, list[tuple[int, int]], int]:
     work = [list(r) for r in rows]
     pivots: list[tuple[int, int]] = []
     swaps = 0
+    qr, qi = 1, 0
     for col in range(n):
         top = len(pivots)
-        found = next((r for r in range(top, n) if work[r][col]), None)
+        found = next((r for r in range(top, n) if any(work[r][col])), None)
         if found is None:
             continue
         if found != top:
             work[top], work[found] = work[found], work[top]
             swaps ^= 1
-        piv = work[top][col]
+        pivot_row = work[top]
+        pr, pi = pivot_row[col]
         for r in range(top + 1, n):
-            if work[r][col]:
-                factor = work[r][col] / piv
-                for c in range(col + 1, n):
-                    work[r][c] = work[r][c] - factor * work[top][c]
+            row = work[r]
+            fr, fi = row[col]
+            for c in range(col + 1, n):
+                ar, ai = row[c]
+                tr, ti = pivot_row[c]
+                row[c] = _divexact(
+                    pr * ar - pi * ai - fr * tr + fi * ti,
+                    pr * ai + pi * ar - fr * ti - fi * tr,
+                    qr, qi,
+                )
         pivots.append((top, col))
+        qr, qi = pr, pi
     return work, pivots, swaps
 
 
-def exact_det(rows: GRMatrix) -> GaussianRational:
-    """Exact determinant by Gaussian elimination over the field, pivoting on
-    the first nonzero entry of each column."""
-    work, pivots, swaps = _echelon(rows)
-    if len(pivots) < len(work):
+def exact_det(rows: ScaledMatrix | GRMatrix) -> GaussianRational:
+    """Exact determinant: the last Bareiss pivot over Z[i], signed by the row
+    swaps and divided by the product of the scales; GR_ZERO (falsy) below
+    full rank."""
+    m = _scaled(rows)
+    work, pivots, swaps = _echelon(m.num)
+    n = len(work)
+    if len(pivots) < n:
         return GR_ZERO
-    det = -GR_ONE if swaps else GR_ONE
-    for r, c in pivots:
-        det = det * work[r][c]
-    return det
+    re, im = work[n - 1][n - 1] if n else ZI_ONE
+    sign = -1 if swaps else 1
+    return _gr_over(sign * re, sign * im, math.prod(m.row_den) * math.prod(m.col_den))
 
 
-def left_kernel(rows: GRMatrix) -> list[GaussianRational] | None:
+def left_kernel(rows: ScaledMatrix | GRMatrix) -> list[GaussianRational] | None:
     """A nonzero row vector v with v*M = 0, normalized so its first nonzero
-    coordinate is 1; None when M has full rank."""
-    # v*M = 0 is M^t x = 0 for the column vector x = v^t.
-    work, pivots, _ = _echelon(list(zip(*rows)))
+    coordinate is 1; None when M has full rank.  Of the kernel it takes the
+    vector whose first free coordinate is set and every other one is 0."""
+    m = _scaled(rows)
+    # With M = diag(1/r) N diag(1/c), v*M = 0 is N^t w = 0 for w_i = v_i/r_i.
+    work, pivots, _ = _echelon(list(zip(*m.num)))
     n = len(work)
     if len(pivots) == n:
         return None
     pivot_cols = {c for _, c in pivots}
     free_col = next(c for c in range(n) if c not in pivot_cols)
-    x = [GR_ZERO] * n
-    x[free_col] = GR_ONE
+    # Back-substitution without division: w is y up to a scalar, and before
+    # pivot p's row solves w[pc] = -acc/p, all of y is multiplied by p.
+    y = [GaussianInt()] * n
+    y[free_col] = ZI_ONE
     for pr, pc in reversed(pivots):
-        acc = GR_ZERO
-        for c in range(pc + 1, n):
-            if x[c]:
-                acc = acc + work[pr][c] * x[c]
-        x[pc] = -acc / work[pr][pc]
-    lead = next(v for v in x if v)
-    return [v / lead for v in x]
+        row = work[pr]
+        acc = _dot(row[pc + 1:], y[pc + 1:])
+        pivot = GaussianInt(*row[pc])
+        y = [x * pivot for x in y]
+        y[pc] = -acc
+    v = [x * r for x, r in zip(y, m.row_den)]
+    lead = next(x for x in v if x)
+    # v_k / lead = v_k * conj(lead) / |lead|^2
+    conj, norm = GaussianInt(lead.re, -lead.im), lead.re * lead.re + lead.im * lead.im
+    return [_gr_over(*(x * conj), norm) for x in v]
 
 
-def mat_mul_vec_left(v: Sequence[GaussianRational], rows: GRMatrix) -> list[GaussianRational]:
-    """The row vector v*M, computed by plain exact multiplication."""
-    n = len(rows)
+def mat_mul_vec_left(v: Sequence[GaussianRational], rows: ScaledMatrix | GRMatrix) -> list[GaussianRational]:
+    """The row vector v*M, computed by plain exact multiplication over Z[i]:
+    with v_i/r_i = z_i/d for one common d, (v*M)_j = sum_i z_i N_ij / (d c_j)."""
+    m = _scaled(rows)
+    n = len(m.num)
     if len(v) != n:
         raise LengthMismatchError(f"vector length {len(v)} vs {n} rows")
-    cols = len(rows[0]) if rows else 0
-    out = []
-    for j in range(cols):
-        acc = GR_ZERO
-        for i in range(n):
-            acc = acc + v[i] * rows[i][j]
-        out.append(acc)
-    return out
+    z, d = _over_zi([GaussianRational(x.re / r, x.im / r) for x, r in zip(v, m.row_den)])
+    return [_gr_over(*_dot(z, col), d * c) for col, c in zip(zip(*m.num), m.col_den)]
 
 
 def gaussian_to_json(x: GaussianRational) -> dict[str, str]:

@@ -211,6 +211,47 @@ def test_internal_error_exits_three(monkeypatch, capsys, tmp_path):
     assert run(["verify", "thm1", "--n", "1", "--out", str(link)]) == 3
     assert capsys.readouterr().err == "tracedet: internal error: RuntimeError: boom\n"
     assert link.is_symlink()
+    # --out is emptied only by the write, so a file that was there before the
+    # run keeps its contents, whether named directly or through a symlink.
+    kept = tmp_path / "kept.txt"
+    kept.write_text("an earlier report\n")
+    to_kept = tmp_path / "to_kept"
+    to_kept.symlink_to(kept)
+    for out in (kept, to_kept):
+        assert run(["verify", "thm1", "--n", "1", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "tracedet: internal error: RuntimeError: boom\n"
+        assert kept.read_text() == "an earlier report\n"
+    assert to_kept.is_symlink()
+    # A file the run created through a dangling symlink is removed; the
+    # symlink stays.
+    dangling = tmp_path / "dangling"
+    dangling.symlink_to(tmp_path / "new.txt")
+    assert run(["verify", "thm1", "--n", "1", "--out", str(dangling)]) == 3
+    assert capsys.readouterr().err == "tracedet: internal error: RuntimeError: boom\n"
+    assert dangling.is_symlink() and not (tmp_path / "new.txt").exists()
+
+
+def test_out_file_is_replaced_through_a_symlink(tmp_path, capsys):
+    # A successful write replaces what --out held, also through a symlink.
+    kept = tmp_path / "kept.txt"
+    kept.write_text("an earlier report that is longer than the new one\n" * 20)
+    link = tmp_path / "link"
+    link.symlink_to(kept)
+    assert run(["verify", "thm1", "--n", "1", "--out", str(link)]) == 0
+    assert re.fullmatch(r"PASS thm1 n=1 \(\d+(\.\d+)? ms\)\n", kept.read_text())
+    assert link.is_symlink()
+
+
+def test_inexact_division_exits_three(monkeypatch, capsys, corrupt_pivot_matrix):
+    # A remainder in the fraction-free elimination is an internal error.
+    from tracedet import verify
+
+    monkeypatch.setattr(verify, "build_magnus_matrices", lambda ms, big: (corrupt_pivot_matrix,) * 3)
+    assert run(["verify", "magnus", "--n", "3", "--trials", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("tracedet: internal error: InexactDivisionError: ")
+    assert captured.err.count("\n") == 1
 
 
 def _cli_process(argv, setup="", unbuffered=False, **kwargs):

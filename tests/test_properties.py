@@ -1,17 +1,29 @@
 """Property tests (Hypothesis) for the polynomial ring, the two
-determinant engines and the Gaussian-rational field.  Examples are
-derandomized so every run checks the same cases."""
+determinant engines, the Gaussian-rational field, the Gaussian integers and
+the fraction-free elimination.  Examples are derandomized so every run
+checks the same cases."""
 
 import itertools
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tracedet.exactpoly import BETA, LAMBDA, Polynomial, entry
-from tracedet.sl2exact import GR_ONE, GR_ZERO, GaussianRational, SingularError
+import elimination_reference as ref
+from tracedet.sl2exact import (
+    GR_ONE,
+    GR_ZERO,
+    GaussianInt,
+    GaussianRational,
+    InexactDivisionError,
+    SingularError,
+    _divexact,
+    exact_det,
+    left_kernel,
+)
 from tracedet.symmat import PolyMatrix, det_dp, det_perm_oracle
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -167,3 +179,69 @@ def test_gaussian_division(x, y):
         assert y * (GR_ONE / y) == GR_ONE
     with pytest.raises(SingularError):
         x / GR_ZERO
+
+
+zis = st.builds(GaussianInt, st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+
+
+def _as_gr(x: GaussianInt) -> GaussianRational:
+    return GaussianRational(x.re, x.im)
+
+
+@PROPERTY
+@given(zis, zis, zis, st.integers(-100, 100))
+def test_gaussian_int_ring_axioms(x, y, z, k):
+    zero, one = GaussianInt(), GaussianInt(1)
+    assert x + y == y + x
+    assert (x + y) + z == x + (y + z)
+    assert x * y == y * x
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + zero == x and x * one == x and x - x == zero
+    assert x - y == x + (-y)
+    assert x * k == k * x == x * GaussianInt(k)
+    assert bool(x) == (x != zero)
+    # The inclusion into the Gaussian rationals is a ring homomorphism.
+    assert _as_gr(x * y + z) == _as_gr(x) * _as_gr(y) + _as_gr(z)
+
+
+@PROPERTY
+@given(zis, zis, zis)
+def test_exact_division_never_rounds(x, q, r):
+    assume(q)
+    assert _divexact(*(x * q), *q) == tuple(x)
+    # Off a multiple of q it returns the quotient only if that is in Z[i].
+    off = x * q + r
+    quotient = _as_gr(off) / _as_gr(q)
+    if quotient.re.denominator == quotient.im.denominator == 1:
+        assert _divexact(*off, *q) == (quotient.re, quotient.im)
+    else:
+        with pytest.raises(InexactDivisionError):
+            _divexact(*off, *q)
+
+
+small_gaussians = st.builds(GaussianRational, st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)),
+                            st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)))
+
+
+@st.composite
+def gr_matrices(draw):
+    """Square matrices up to 6x6; some rows are copies or multiples of
+    earlier ones, so rank deficiency and zero pivots come up often."""
+    n = draw(st.integers(0, 6))
+    rows = []
+    for _ in range(n):
+        if rows and draw(st.booleans()):
+            source = draw(st.sampled_from(rows))
+            factor = draw(small_gaussians)
+            rows.append([factor * x for x in source])
+        else:
+            rows.append(draw(st.lists(small_gaussians, min_size=n, max_size=n)))
+    return rows
+
+
+@PROPERTY
+@given(gr_matrices())
+def test_bareiss_matches_fraction_elimination(rows):
+    assert exact_det(rows) == ref.exact_det(rows)
+    assert left_kernel(rows) == ref.left_kernel(rows)

@@ -2,8 +2,10 @@
 exact linear algebra."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,11 +14,14 @@ from tracedet.sl2exact import (
     GEN_T,
     GR_ONE,
     GR_ZERO,
+    GaussianInt,
     GaussianRational,
+    InexactDivisionError,
     LengthMismatchError,
     Mat2,
     NonSquareError,
     NotUnimodularError,
+    ScaledMatrix,
     SingularError,
     build_magnus_matrices,
     build_thm2_D,
@@ -161,9 +166,9 @@ def test_random_sl2_gaussian_basics():
 
 def test_magnus_matrices_identity_case():
     a_mat, b_mat, c_mat = build_magnus_matrices([I2], [I2])
-    assert a_mat == [[gr(2), gr(2)], [gr(2), gr(2)]]
-    assert b_mat == [[gr(-2)]]
-    assert c_mat == [[gr(2)]]
+    assert a_mat.to_rows() == [[gr(2), gr(2)], [gr(2), gr(2)]]
+    assert b_mat.to_rows() == [[gr(-2)]]
+    assert c_mat.to_rows() == [[gr(2)]]
     assert exact_det(a_mat) == GR_ZERO
     assert exact_det(b_mat) + exact_det(c_mat) == GR_ZERO
 
@@ -174,7 +179,7 @@ def test_magnus_corner_always_two():
         ms = [random_sl2z(12, rng) for _ in range(3)]
         big = [random_sl2z(12, rng) for _ in range(3)]
         a_mat, _, _ = build_magnus_matrices(ms, big)
-        assert a_mat[0][0] == gr(2)
+        assert a_mat.to_rows()[0][0] == gr(2)
 
 
 def test_magnus_n1_regression_T_S():
@@ -182,9 +187,9 @@ def test_magnus_n1_regression_T_S():
     # the matrices are A = [[2, 0], [2, -1]], B = [-1], C = [-1], and the
     # identity reads det A = det B + det C (= -2).
     a_mat, b_mat, c_mat = build_magnus_matrices([GEN_T], [GEN_S])
-    assert a_mat == [[gr(2), gr(0)], [gr(2), gr(-1)]]
-    assert b_mat == [[gr(-1)]]
-    assert c_mat == [[gr(-1)]]
+    assert a_mat.to_rows() == [[gr(2), gr(0)], [gr(2), gr(-1)]]
+    assert b_mat.to_rows() == [[gr(-1)]]
+    assert c_mat.to_rows() == [[gr(-1)]]
     det_a, det_b, det_c = exact_det(a_mat), exact_det(b_mat), exact_det(c_mat)
     assert det_a == gr(-2)
     assert det_a == det_b + det_c
@@ -239,18 +244,19 @@ def test_builders_match_direct_construction(sampler):
         for n in range(1, 6):
             ms = [draw(rng) for _ in range(n)]
             big = [draw(rng) for _ in range(n)]
-            assert build_magnus_matrices(ms, big) == reference_magnus_matrices(ms, big)
+            built = [x.to_rows() for x in build_magnus_matrices(ms, big)]
+            assert built == list(reference_magnus_matrices(ms, big))
             for _ in range(3):
                 eps = [rng.choice((1, -1)) for _ in range(n)]
-                assert build_thm2_D(ms, big, eps) == reference_thm2_D(ms, big, eps)
+                assert build_thm2_D(ms, big, eps).to_rows() == reference_thm2_D(ms, big, eps)
 
 
 def test_thm2_D_identity_case():
     d = build_thm2_D([I2] * 3, [I2] * 3, [1, -1, 1])
-    assert d == [[gr(2)] * 3] * 3
+    assert d.to_rows() == [[gr(2)] * 3] * 3
     assert exact_det(d) == GR_ZERO
     single = build_thm2_D([GEN_T], [GEN_S], [1])
-    assert single == [[(GEN_T @ GEN_S).trace()]]
+    assert single.to_rows() == [[(GEN_T @ GEN_S).trace()]]
 
 
 def test_thm2_D_errors():
@@ -378,10 +384,10 @@ def test_thm2_det_zero_with_kernel_n5():
 
 def test_trace_matrix_shapes():
     ms = [GEN_T, GEN_S]
-    t = trace_matrix(ms, ms)
+    t = trace_matrix(ms, ms).to_rows()
     assert t[0][0] == (GEN_T @ GEN_T).trace()
     assert t[1][0] == (GEN_S @ GEN_T).trace()
-    t_inv = trace_matrix(ms, ms, invert_right=True)
+    t_inv = trace_matrix(ms, ms, invert_right=True).to_rows()
     assert t_inv[0][1] == (GEN_T @ GEN_S.inverse()).trace()
 
 
@@ -410,3 +416,39 @@ def test_json_serialization():
     blob = mat2_to_json(GEN_S)
     assert blob[0][1]["re_num"] == "-1"
     assert blob[1][0]["re_num"] == "1"
+
+
+GOLDEN_DETS = Path(__file__).parent / "golden" / "dets_seed42.json"
+
+
+def test_determinants_match_golden():
+    # verify_all_n6.json pins verdicts only.  This pins the exact values, as
+    # gaussian_to_json writes them (sign and reduced denominators included):
+    # exact_det of magnus A, B, C on trial 0 of _trials(g, 42, n, 1) for
+    # n = 1..3 and both generators, and thm2's det_sample for n = 3, 4.
+    from tracedet.verify import GAUSSIAN, SL2Z, _trials, verify_thm2
+
+    pinned = {}
+    for gen in (SL2Z, GAUSSIAN):
+        for n in (1, 2, 3):
+            _, ms, big = next(_trials(gen, 42, n, 1))
+            mats = build_magnus_matrices(ms, big)
+            pinned[f"magnus_{gen}_n{n}"] = {
+                name: gaussian_to_json(exact_det(mat)) for name, mat in zip(("det_A", "det_B", "det_C"), mats)
+            }
+    for n in (3, 4):
+        pinned[f"thm2_n{n}_det_sample"] = verify_thm2(n, 1, 42).params["det_sample"]
+    assert json.dumps(pinned, indent=2) + "\n" == GOLDEN_DETS.read_text()
+
+
+def test_corrupted_pivot_raises(corrupt_pivot_matrix):
+    # An honest matrix only ever divides exactly; a pivot that changes
+    # between its products and its division must raise, not round.
+    honest = ScaledMatrix([[GaussianInt(x) for x in row] for row in ([5, 1, 3], [1, 4, 1], [1, 2, 7])],
+                          [1, 1, 1], [1, 1, 1])
+    assert exact_det(honest) == gr(118)
+    with pytest.raises(InexactDivisionError, match="not a Gaussian integer"):
+        exact_det(corrupt_pivot_matrix)
+    with pytest.raises(InexactDivisionError):
+        left_kernel(corrupt_pivot_matrix)
+
