@@ -5,23 +5,44 @@ scalar indeterminates lambda and beta.  Polynomials are stored canonically
 (no zero coefficients), so equality of canonical forms is ring equality and
 zero-testing never needs randomized evaluation.
 
-Internally each variable gets a small integer id the first time it is used,
-and a monomial is the ascending tuple of its factors' ids, each id repeated
-by its exponent: if lambda has id 0 and a[1,0] id 5, lambda^2*a[1,0] is
-(0, 0, 5).  Hashing, comparing and multiplying monomials then run on int
-tuples in C.  Ids follow first use, not the variable order, so everything
-that leaves this module (``terms``, ``variables``, ``to_text``) is decoded
-back to PolyVar and ordered by variable; no result depends on the order in
-which ids were handed out.
+A monomial is stored as a packed exponent vector (Monagan and Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007): one int made of W-bit fields, W = 8.  Each variable
+gets a small integer id the first time it is used; field 0 holds the total
+degree and field k the exponent of the variable with id k - 1.  If lambda
+has id 0 and a[1,0] id 5, lambda^2*a[1,0] is 3 + (2 << 8) + (1 << 48).
+Multiplying two monomials is then one int addition, and hashing one is an
+int hash.  The int is as wide as its largest id needs, W bits per field,
+so it grows with the number of interned variables: thm1 at n = 7 has 64
+variables, 65 fields with the degree (520 bits), and a symbolic sweep that
+also runs thm3 interns beta too, for 66 fields.
+
+No field may carry into the next.  An exponent never exceeds the total
+degree, so it is enough that no total degree passes 2^W - 1 = 255.  Each
+Polynomial caches an upper bound on its total degree (``+`` takes the max,
+``*`` the sum), so a product checks one sum of two ints; only when that sum
+passes 255 are the exact degrees read off the terms.  A product or an
+encoded monomial of degree above 255 raises MonomialOverflowError (an
+ArithmeticError, so the CLI exits 3) before any term is written.
+
+Ids follow first use, not the variable order, so everything that leaves this
+module (``terms``, ``variables``, ``to_text``) is decoded back to PolyVar and
+ordered by variable; no result depends on the order in which ids were handed
+out.
+
+Evaluation runs a plan: each term as (coefficient, slot tuple), the slots
+indexing a list of values, each slot repeated by its variable's exponent.
+``evaluate`` compiles one per call; a caller that evaluates the same
+polynomials at many points (the magnus builders in sl2exact) compiles them
+once with ``plan`` and runs ``evaluate_plan`` on a list filled per point.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 import threading
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 _KIND_LAMBDA = 0
 _KIND_BETA = 1
@@ -66,8 +87,17 @@ def entry(i: int, j: int) -> PolyVar:
 # ascending variable; the empty tuple is the unit monomial.
 Monomial = tuple[tuple[PolyVar, int], ...]
 
-# The stored form: ascending variable ids, each repeated by its exponent.
-_IdMonomial = tuple[int, ...]
+# A compiled polynomial: (coefficient, slot tuple) per term.
+Plan = tuple[tuple[int, tuple[int, ...]], ...]
+
+# Bits per field of a packed monomial; total degrees stay within _MASK.
+W = 8
+_MASK = (1 << W) - 1
+
+
+class MonomialOverflowError(ArithmeticError):
+    """A total degree above 2^W - 1, which a packed monomial cannot hold."""
+
 
 # The variable intern table, shared by the whole process.  It only grows and
 # a variable's id never changes, so sharing it cannot alter any result; the
@@ -89,12 +119,40 @@ def _var_id(v: PolyVar) -> int:
     return vid
 
 
-def _encode(pairs) -> _IdMonomial:
-    return tuple(sorted(vid for v, e in pairs for vid in [_var_id(v)] * e))
+def _check_degree(deg: int) -> None:
+    if deg > _MASK:
+        raise MonomialOverflowError(
+            f"total degree {deg} exceeds {_MASK}, the most a {W}-bit monomial field holds"
+        )
 
 
-def _decode(mono: _IdMonomial) -> Monomial:
-    return tuple(sorted((_VARS[vid], len(list(run))) for vid, run in itertools.groupby(mono)))
+def _encode(pairs) -> int:
+    mono = deg = 0
+    for v, e in pairs:
+        if e < 0:
+            raise ValueError(f"negative exponent {e} on {v!r}")
+        deg += e
+        mono += e << (_var_id(v) + 1) * W
+    _check_degree(deg)
+    return mono + deg
+
+
+def _exponents(mono: int) -> list[tuple[int, int]]:
+    """(variable id, exponent) for each variable of mono, by ascending id."""
+    out = []
+    mono >>= W
+    while mono:
+        # The lowest set bit finds the next nonzero field, so the loop runs
+        # once per variable, not once per interned id.
+        vid = ((mono & -mono).bit_length() - 1) // W
+        e = (mono >> vid * W) & _MASK
+        out.append((vid, e))
+        mono ^= e << vid * W
+    return out
+
+
+def _decode(mono: int) -> Monomial:
+    return tuple(sorted((_VARS[vid], e) for vid, e in _exponents(mono)))
 
 
 def _mono_key(mono: Monomial):
@@ -104,15 +162,30 @@ def _mono_key(mono: Monomial):
     return (sum(e for _, e in mono), tuple(reversed(mono)))
 
 
-def _mul_into(
-    out: dict[_IdMonomial, int], t1: dict[_IdMonomial, int], t2: dict[_IdMonomial, int]
-) -> None:
-    """out += t1 * t2 on term dicts; out stays canonical."""
+def _degree(terms: dict[int, int]) -> int:
+    return max((mono & _MASK for mono in terms), default=0)
+
+
+def _product_degree(p: "Polynomial", q: "Polynomial") -> int:
+    """A bound on deg(p*q) that fits a field, or MonomialOverflowError.
+
+    The cached bounds decide in O(1); only when they sum past the limit are
+    the exact degrees read off the terms, so a loose bound never raises."""
+    deg = p._deg + q._deg
+    if deg > _MASK:
+        deg = _degree(p._terms) + _degree(q._terms)
+        _check_degree(deg)
+    return deg
+
+
+def _mul_into(out: dict[int, int], t1: dict[int, int], t2: dict[int, int]) -> None:
+    """out += t1 * t2 on term dicts; out stays canonical.  The caller has
+    checked the degrees with _product_degree."""
     get = out.get
     items2 = t2.items()
     for m1, c1 in t1.items():
         for m2, c2 in items2:
-            mono = tuple(sorted(m1 + m2))
+            mono = m1 + m2
             new = get(mono, 0) + c1 * c2
             if new:
                 out[mono] = new
@@ -121,41 +194,64 @@ def _mul_into(
                 del out[mono]
 
 
+def evaluate_plan(plan: Plan, values: Sequence, one):
+    """The value of a compiled polynomial (see Polynomial.plan) with each
+    slot s set to values[s], in any ring with ``+``, ``*``, ``-`` and int
+    scaling; ``one`` is its unit."""
+    total = None
+    for coeff, slots in plan:
+        term = None
+        for s in slots:
+            x = values[s]
+            term = x if term is None else term * x
+        # Unit coefficients are the common case; scaling costs a ring product.
+        if term is None:
+            term = one * coeff
+        elif coeff != 1:
+            term = -term if coeff == -1 else term * coeff
+        total = term if total is None else total + term
+    return one - one if total is None else total
+
+
 _TOKEN_RE = re.compile(r"^(lambda|beta|a\[(\d+),(\d+)\])(?:\^(\d+))?$")
 
 
 class Polynomial:
-    """Canonical sparse polynomial: map monomial -> nonzero integer."""
+    """Canonical sparse polynomial: map packed monomial -> nonzero integer,
+    plus an upper bound on the total degree (_deg, at most 2^W - 1)."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_deg")
     __hash__ = None  # value equality without hashability
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        clean: dict[_IdMonomial, int] = {}
+        clean: dict[int, int] = {}
         if terms:
             for pairs, coeff in terms.items():
                 mono = _encode(pairs)
                 clean[mono] = clean.get(mono, 0) + coeff
         self._terms = {m: c for m, c in clean.items() if c}
+        self._deg = _degree(self._terms)
 
     @classmethod
-    def _wrap(cls, terms: dict[_IdMonomial, int]) -> "Polynomial":
-        # Adopts an already canonical term dict without copying it.
+    def _wrap(cls, terms: dict[int, int], deg: int) -> "Polynomial":
+        # Adopts an already canonical term dict without copying it; deg
+        # bounds its total degree.
         result = cls.__new__(cls)
         result._terms = terms
+        result._deg = deg
         return result
 
     @classmethod
     def of_int(cls, c: int) -> "Polynomial":
-        return cls._wrap({(): c} if c else {})
+        return cls._wrap({0: c} if c else {}, 0)
 
     @classmethod
     def of_var(cls, v: PolyVar) -> "Polynomial":
-        return cls._wrap({(_var_id(v),): 1})
+        return cls._wrap({1 + (1 << (_var_id(v) + 1) * W): 1}, 1)
 
     @classmethod
     def zero(cls) -> "Polynomial":
-        return cls._wrap({})
+        return cls._wrap({}, 0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -188,12 +284,12 @@ class Polynomial:
                 out[mono] = new
             elif mono in out:
                 del out[mono]
-        return Polynomial._wrap(out)
+        return Polynomial._wrap(out, max(self._deg, other._deg) if out else 0)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._wrap({m: -c for m, c in self._terms.items()})
+        return Polynomial._wrap({m: -c for m, c in self._terms.items()}, self._deg)
 
     def __sub__(self, other) -> "Polynomial":
         other = _coerce(other)
@@ -211,9 +307,10 @@ class Polynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[_IdMonomial, int] = {}
+        deg = _product_degree(self, other)
+        out: dict[int, int] = {}
         _mul_into(out, self._terms, other._terms)
-        return Polynomial._wrap(out)
+        return Polynomial._wrap(out, deg if out else 0)
 
     __rmul__ = __mul__
 
@@ -230,23 +327,33 @@ class Polynomial:
                 base = base * base
         return result
 
+    def _var_ids(self) -> list[int]:
+        # A field of the OR of all monomials is nonzero iff some monomial
+        # contains that field's variable.
+        used = 0
+        for mono in self._terms:
+            used |= mono
+        return [vid for vid, _ in _exponents(used)]
+
+    def _plan(self, slot_of_id: Mapping[int, int]) -> Plan:
+        return tuple(
+            (coeff, tuple(slot_of_id[vid] for vid, e in _exponents(mono) for _ in range(e)))
+            for mono, coeff in self._terms.items()
+        )
+
+    def plan(self, slots: Mapping[PolyVar, int]) -> Plan:
+        """The terms compiled for evaluate_plan: (coefficient, slot tuple)
+        per term, where each variable v contributes slots[v] once per unit
+        of its exponent.  A variable missing from ``slots`` raises KeyError."""
+        return self._plan({vid: slots[_VARS[vid]] for vid in self._var_ids()})
+
     def evaluate(self, point: Mapping[PolyVar, object], one):
         """Ring homomorphism sending each variable v to ``point[v]`` in any
         ring with ``+``, ``*``, ``-`` and int scaling; ``one`` is its unit.
         A variable missing from ``point`` raises KeyError."""
-        total = None
-        for mono, coeff in self._terms.items():
-            term = None
-            for vid in mono:
-                x = point[_VARS[vid]]
-                term = x if term is None else term * x
-            # Unit coefficients are the common case; scaling costs a ring product.
-            if term is None:
-                term = one * coeff
-            elif coeff != 1:
-                term = -term if coeff == -1 else term * coeff
-            total = term if total is None else total + term
-        return one - one if total is None else total
+        ids = self._var_ids()
+        values = [point[_VARS[vid]] for vid in ids]
+        return evaluate_plan(self._plan({vid: s for s, vid in enumerate(ids)}), values, one)
 
     def substitute(self, mapping: Mapping[PolyVar, "Polynomial | int"]) -> "Polynomial":
         """Ring homomorphism sending each mapped variable to its image.
@@ -261,22 +368,25 @@ class Polynomial:
         """The polynomial q_k in p = sum_k q_k * v^k; v is absent from it."""
         if k < 0:
             raise ValueError("power must be non-negative")
-        vid = _IDS.get(v)  # None when v was never used: no term contains it
-        out: dict[_IdMonomial, int] = {}
-        for mono, coeff in self._terms.items():
-            exp = mono.count(vid)
-            if exp == k:
-                # Distinct monomials with the same v-exponent stay distinct
-                # once v is removed, so nothing merges here.
-                out[tuple(x for x in mono if x != vid) if exp else mono] = coeff
-        return Polynomial._wrap(out)
+        vid = _IDS.get(v)
+        if vid is None:  # v was never used, so no term contains it
+            return Polynomial._wrap(dict(self._terms) if k == 0 else {}, self._deg)
+        shift = (vid + 1) * W
+        drop = k + (k << shift)  # v^k off the monomial and k off its degree
+        # Distinct monomials with the same v-exponent stay distinct once v
+        # is removed, so nothing merges here.
+        out = {m - drop: c for m, c in self._terms.items() if (m >> shift) & _MASK == k}
+        return Polynomial._wrap(out, self._deg - k if out else 0)
 
     def degree_in_var(self, v: PolyVar) -> int:
         vid = _IDS.get(v)
-        return max((mono.count(vid) for mono in self._terms), default=0)
+        if vid is None:
+            return 0
+        shift = (vid + 1) * W
+        return max(((m >> shift) & _MASK for m in self._terms), default=0)
 
     def variables(self) -> set[PolyVar]:
-        return {_VARS[vid] for mono in self._terms for vid in mono}
+        return {_VARS[vid] for vid in self._var_ids()}
 
     def to_text(self) -> str:
         """Canonical text form: descending monomial order, explicit integer
@@ -334,14 +444,18 @@ def _add_product(acc: Polynomial, sign: int, *factors: Polynomial) -> None:
     leading factors are multiplied out first, and the product with the last
     one goes straight into acc's term dict, with no temporary polynomial and
     no copying ``+``.  Stops at the first zero partial product.  acc must be
-    an accumulator its caller owns, and none of the factors.
+    an accumulator its caller owns, and none of the factors.  A product of
+    degree above 2^W - 1 raises MonomialOverflowError with acc untouched.
     """
     head = Polynomial.of_int(sign)
     for f in factors[:-1]:
         head = head * f
         if not head:
             return
-    _mul_into(acc._terms, head._terms, factors[-1]._terms if factors else {(): 1})
+    last = factors[-1] if factors else Polynomial.of_int(1)
+    deg = _product_degree(head, last)
+    _mul_into(acc._terms, head._terms, last._terms)
+    acc._deg = max(acc._deg, deg)
 
 
 def _coerce(value) -> Polynomial:

@@ -10,13 +10,14 @@ column, reduced by one fraction-free routine, _echelon.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .exactpoly import LAMBDA, entry
+from .exactpoly import LAMBDA, Plan, entry, evaluate_plan
 from .identbuild import build_thm1
 from .symmat import NonSquareError
 
@@ -219,7 +220,7 @@ GRMatrix = list[list[GaussianRational]]
 class GaussianInt(NamedTuple):
     """Exact Gaussian integer re + im*i.  It is a pair of ints, so the
     elimination loops unpack it directly; the ring operators are what
-    Polynomial.evaluate needs to evaluate thm1 over Z[i]."""
+    evaluate_plan needs to evaluate thm1 over Z[i]."""
 
     re: int = 0
     im: int = 0
@@ -339,16 +340,37 @@ def build_magnus_matrices(
         raise LengthMismatchError(f"{len(ms)} m's vs {len(big_ms)} M's")
     nums, dens = _integrals(ms)
     big_nums, big_dens = _integrals(big_ms)
-    point = {LAMBDA: ZI_ONE}
-    point.update((entry(0, j), y[0] + y[3]) for j, y in enumerate(big_nums, 1))
-    for i, (x, row) in enumerate(zip(nums, _trace_nums(nums, big_nums, True)), 1):
-        point[entry(i, 0)] = x[0] + x[3]
-        point.update((entry(i, j), t) for j, t in enumerate(row, 1))
-    a_poly, b_poly, c_poly = build_thm1(len(ms))
+    # The value grid of _magnus_plan, row by row: lambda = 1 and
+    # a[0,j] = tr N'_j, then a[i,0] = tr N_i and a[i,j] = tr(N_i adj N'_j).
+    values = [ZI_ONE]
+    values.extend(y[0] + y[3] for y in big_nums)
+    for x, row in zip(nums, _trace_nums(nums, big_nums, True)):
+        values.append(x[0] + x[3])
+        values.extend(row)
+
+    def at_point(plans: list[list[Plan]]) -> list[list[GaussianInt]]:
+        return [[evaluate_plan(p, values, ZI_ONE) for p in row] for row in plans]
+
+    a_plans, neg_b_plans, c_plans = _magnus_plan(len(ms))
     return (
-        ScaledMatrix(a_poly.evaluate(point, ZI_ONE), [1, *dens], [1, *big_dens]),
-        ScaledMatrix([[-x for x in row] for row in b_poly.evaluate(point, ZI_ONE)], dens, big_dens),
-        ScaledMatrix(c_poly.evaluate(point, ZI_ONE), dens, big_dens),
+        ScaledMatrix(at_point(a_plans), [1, *dens], [1, *big_dens]),
+        ScaledMatrix(at_point(neg_b_plans), dens, big_dens),
+        ScaledMatrix(at_point(c_plans), dens, big_dens),
+    )
+
+
+@functools.cache
+def _magnus_plan(n: int) -> tuple[list[list[Plan]], ...]:
+    """build_thm1(n)'s A, -B and C, each entry compiled once for
+    evaluate_plan.  The slots index an (n+1)x(n+1) value grid read row by
+    row: a[i,j] is slot i*(n+1) + j, and lambda takes slot 0, since a[0,0]
+    occurs in no entry."""
+    slots = {entry(i, j): i * (n + 1) + j for i in range(n + 1) for j in range(n + 1) if i or j}
+    slots[LAMBDA] = 0
+    a_mat, b_mat, c_mat = build_thm1(n)
+    return tuple(
+        [[(sign * m.entry(r, c)).plan(slots) for c in m.col_labels] for r in m.row_labels]
+        for m, sign in ((a_mat, 1), (b_mat, -1), (c_mat, 1))
     )
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from tracedet.exactpoly import BETA, LAMBDA, Polynomial, entry
+from tracedet.exactpoly import BETA, LAMBDA, MonomialOverflowError, Polynomial, _add_product, entry
 from tracedet.sl2exact import GR_ONE, GR_ZERO, GaussianRational
 
 
@@ -210,3 +210,52 @@ def test_entry_rejects_negative_indices():
 
 def test_variable_order():
     assert LAMBDA < BETA < entry(0, 0) < entry(0, 1) < entry(1, 0)
+
+
+def test_total_degree_255_fits():
+    p = LAM ** 255
+    assert p.to_text() == "1*lambda^255"
+    assert p.degree_in_var(LAMBDA) == 255
+    assert Polynomial.from_text("1*lambda^200*a[1,1]^55") == LAM ** 200 * a(1, 1) ** 55
+
+
+def test_total_degree_256_raises():
+    assert issubclass(MonomialOverflowError, ArithmeticError)
+    with pytest.raises(MonomialOverflowError):
+        LAM ** 256
+    with pytest.raises(MonomialOverflowError):
+        (LAM ** 128 + 1) * (a(1, 1) ** 128 - BET)
+    with pytest.raises(MonomialOverflowError):
+        Polynomial.from_text("1*lambda^256")
+    with pytest.raises(MonomialOverflowError):
+        Polynomial.from_text("1*lambda^128*a[1,1]^128")
+
+
+def test_overflow_raises_before_any_term_is_written():
+    acc = a(1, 2) + 7
+    before = acc.to_text()
+    with pytest.raises(MonomialOverflowError):
+        _add_product(acc, 1, LAM ** 128, a(1, 1) ** 128)
+    with pytest.raises(MonomialOverflowError):
+        _add_product(acc, 1, LAM ** 100, LAM ** 100, a(1, 1) ** 100)
+    assert acc.to_text() == before
+    # A product that fits raises the accumulator's bound, so the next
+    # product past degree 255 is caught rather than carried into a field.
+    _add_product(acc, 1, LAM ** 127, a(1, 1) ** 128)
+    with pytest.raises(MonomialOverflowError):
+        acc * LAM
+
+
+def test_loose_degree_bound_does_not_raise():
+    # The cached bound of p stays 200 after the cancellation; the guard
+    # falls back to the exact degree, 1, before it raises.
+    p = (LAM ** 200 + a(1, 1)) - LAM ** 200
+    assert p * LAM ** 254 == a(1, 1) * LAM ** 254
+    acc = Polynomial.zero()
+    _add_product(acc, 1, p, LAM ** 254)
+    assert acc == a(1, 1) * LAM ** 254
+
+
+def test_negative_exponent_rejected():
+    with pytest.raises(ValueError):
+        Polynomial({((LAMBDA, -1),): 1})

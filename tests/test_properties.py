@@ -1,7 +1,7 @@
-"""Property tests (Hypothesis) for the polynomial ring, the two
-determinant engines, the Gaussian-rational field, the Gaussian integers and
-the fraction-free elimination.  Examples are derandomized so every run
-checks the same cases."""
+"""Property tests (Hypothesis) for the polynomial ring and its packed
+monomials, the two determinant engines, the Gaussian-rational field, the
+Gaussian integers and the fraction-free elimination.  Examples are
+derandomized so every run checks the same cases."""
 
 import itertools
 import math
@@ -11,8 +11,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tracedet.exactpoly import BETA, LAMBDA, Polynomial, entry
+from tracedet.exactpoly import BETA, LAMBDA, Polynomial, _add_product, _var_id, entry
 import elimination_reference as ref
+import poly_reference as pref
 from tracedet.sl2exact import (
     GR_ONE,
     GR_ZERO,
@@ -118,6 +119,58 @@ def test_coeff_and_degree_match_terms(p, v, k):
         if dict(mono).get(v, 0) == k
     })
     assert p.coeff_in_var(v, k) == expected
+
+
+# Variables interned after 64 others, so that their exponent fields lie
+# hundreds of bits up in the packed monomial.
+for _v in [entry(60 + i, 60) for i in range(64)]:
+    _var_id(_v)
+FAR_VARS = [entry(200 + i, 7) for i in range(3)]
+MIXED_POOL = [LAMBDA, BETA, entry(1, 2), *FAR_VARS]
+term_lists = st.lists(
+    st.tuples(st.integers(-5, 5), st.lists(st.tuples(st.sampled_from(MIXED_POOL), st.integers(1, 3)), max_size=3)),
+    max_size=4,
+)
+
+
+def both_forms(terms):
+    """The polynomial of terms built packed and built by the reference."""
+    p, r = ZERO, pref.RefPoly.of_int(0)
+    for coeff, factors in terms:
+        t, rt = Polynomial.of_int(coeff), pref.RefPoly.of_int(coeff)
+        for v, e in factors:
+            t = t * Polynomial.of_var(v) ** e
+            for _ in range(e):
+                rt = rt * pref.RefPoly.of_var(v)
+        p, r = p + t, r + rt
+    return p, r
+
+
+def assert_agree(p, r):
+    assert dict(p.terms()) == r.public_terms()
+    assert p.variables() == r.variables()
+    assert p.to_text() == r.to_text()
+    # The cached degree bound behind the overflow guard is a bound.
+    assert p._deg >= max((sum(e for _, e in m) for m in r.public_terms()), default=0)
+
+
+def test_far_variables_sit_past_id_64():
+    assert min(_var_id(v) for v in FAR_VARS) >= 64
+
+
+@PROPERTY
+@given(term_lists, term_lists, st.sampled_from(MIXED_POOL), st.integers(0, 4))
+def test_packed_matches_reference(tp, tq, v, k):
+    (p, r), (q, s) = both_forms(tp), both_forms(tq)
+    assert_agree(p, r)
+    assert_agree(p * q, r * s)
+    assert_agree(p + q, r + s)
+    assert_agree(p - q, r + s * pref.RefPoly.of_int(-1))
+    assert_agree(p.coeff_in_var(v, k), r.coeff_in_var(v, k))
+    assert p.degree_in_var(v) == r.degree_in_var(v)
+    acc = p + 0
+    _add_product(acc, -2, q, p)
+    assert_agree(acc, r + s * r * pref.RefPoly.of_int(-2))
 
 
 # Three variables with exponents up to 3, so entries repeat variables within

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from tracedet.exactpoly import LAMBDA, entry, evaluate_plan
+from tracedet.identbuild import build_thm1
 from tracedet.sl2exact import (
     GEN_S,
     GEN_T,
@@ -23,6 +25,8 @@ from tracedet.sl2exact import (
     NotUnimodularError,
     ScaledMatrix,
     SingularError,
+    ZI_ONE,
+    _magnus_plan,
     build_magnus_matrices,
     build_thm2_D,
     exact_det,
@@ -193,6 +197,25 @@ def test_magnus_n1_regression_T_S():
     det_a, det_b, det_c = exact_det(a_mat), exact_det(b_mat), exact_det(c_mat)
     assert det_a == gr(-2)
     assert det_a == det_b + det_c
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_magnus_plan_matches_polymatrix_evaluate(n):
+    # build_magnus_matrices runs the compiled plan on a grid of values; at a
+    # random Z[i] point it must give PolyMatrix.evaluate's A, -B and C.
+    rng = random.Random(300 + n)
+    width = n + 1
+    values = [GaussianInt(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(width * width)]
+    point = {entry(i, j): values[i * width + j] for i in range(width) for j in range(width) if i or j}
+    point[LAMBDA] = values[0]
+    a_mat, b_mat, c_mat = build_thm1(n)
+    expected = (
+        a_mat.evaluate(point, ZI_ONE),
+        [[-x for x in row] for row in b_mat.evaluate(point, ZI_ONE)],
+        c_mat.evaluate(point, ZI_ONE),
+    )
+    for plans, rows in zip(_magnus_plan(n), expected):
+        assert [[evaluate_plan(p, values, ZI_ONE) for p in row] for row in plans] == rows
 
 
 def test_magnus_matrices_errors():
