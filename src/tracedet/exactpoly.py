@@ -360,9 +360,10 @@ class Polynomial:
 
         Unmapped variables stay fixed.
         """
-        images = {v: Polynomial.of_var(v) for v in self.variables()}
-        images.update((v, _coerce(p)) for v, p in mapping.items())
-        return self.evaluate(images, Polynomial.of_int(1))
+        ids = self._var_ids()
+        variables = [_VARS[vid] for vid in ids]
+        images = [_coerce(mapping[v]) if v in mapping else Polynomial.of_var(v) for v in variables]
+        return evaluate_plan(self._plan({vid: s for s, vid in enumerate(ids)}), images, Polynomial.of_int(1))
 
     def coeff_in_var(self, v: PolyVar, k: int) -> "Polynomial":
         """The polynomial q_k in p = sum_k q_k * v^k; v is absent from it."""

@@ -1,11 +1,12 @@
 """Exact 2x2 linear algebra over the Gaussian rationals: SL(2) samplers,
 trace matrices, and exact determinant / left-kernel computation.
 
-Floating point is banned here.  Samples, determinants, kernel vectors and
-reports hold GaussianRationals (pairs of Fractions).  Trace matrices are
-built and eliminated over the Gaussian integers (pairs of ints): each is a
-ScaledMatrix, an integer matrix with one positive int scale per row and per
-column, reduced by one fraction-free routine, _echelon.
+Floating point is banned here.  From a sampler's draw to the elimination
+all arithmetic is over the Gaussian integers (pairs of ints): a Mat2 sample
+is N/d with N over Z[i], and a trace matrix is a ScaledMatrix, an integer
+matrix with one positive int scale per row and per column, reduced by one
+fraction-free routine, _echelon.  GaussianRationals (pairs of Fractions)
+appear only where a value leaves, as an entry, determinant or kernel vector.
 """
 
 from __future__ import annotations
@@ -110,113 +111,6 @@ GR_ZERO = GaussianRational()
 GR_ONE = GaussianRational(Fraction(1))
 
 
-@dataclass(frozen=True, slots=True)
-class Mat2:
-    """Element of SL(2) over the Gaussian rationals.  Entries may be given as
-    ints, Fractions or GaussianRationals; construction raises
-    NotUnimodularError unless the determinant is exactly 1.  The numeric
-    checks build one per sample and reach products only through
-    trace_matrix."""
-
-    e11: GaussianRational
-    e12: GaussianRational
-    e21: GaussianRational
-    e22: GaussianRational
-
-    def __post_init__(self):
-        for name in ("e11", "e12", "e21", "e22"):
-            object.__setattr__(self, name, _gr(getattr(self, name)))
-        if self.det() != GR_ONE:
-            raise NotUnimodularError(f"determinant {self.det()!r} is not 1")
-
-    @classmethod
-    def identity(cls) -> "Mat2":
-        return cls(1, 0, 0, 1)
-
-    def __matmul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.e11 * other.e11 + self.e12 * other.e21,
-            self.e11 * other.e12 + self.e12 * other.e22,
-            self.e21 * other.e11 + self.e22 * other.e21,
-            self.e21 * other.e12 + self.e22 * other.e22,
-        )
-
-    def trace(self) -> GaussianRational:
-        return self.e11 + self.e22
-
-    def det(self) -> GaussianRational:
-        return self.e11 * self.e22 - self.e12 * self.e21
-
-    def inverse(self) -> "Mat2":
-        """The adjugate, which is the inverse because det = 1."""
-        return Mat2(self.e22, -self.e12, -self.e21, self.e11)
-
-    def __repr__(self) -> str:
-        return f"[[{self.e11!r}, {self.e12!r}], [{self.e21!r}, {self.e22!r}]]"
-
-
-GEN_S = Mat2(0, -1, 1, 0)
-GEN_T = Mat2(1, 1, 0, 1)
-# S, S^-1, T and T^-1 as int 4-tuples (e11, e12, e21, e22), in the order
-# random_sl2z draws them from.
-_SL2Z_LETTERS = ((0, -1, 1, 0), (0, 1, -1, 0), (1, 1, 0, 1), (1, -1, 0, 1))
-
-DEFAULT_WORD_LEN = 12
-HEIGHT_BOUND = 5
-
-
-def trace_relation_check(m: Mat2, big_m: Mat2) -> tuple[GaussianRational, GaussianRational]:
-    """Both sides of tr(m*M^-1) = tr(m)*tr(M) - tr(m*M), with M^-1 taken as
-    adj(M)/det(M) (with adj(M) alone both sides are one polynomial).  Mat2
-    admits det = 1 only, so no pair it builds makes the sides differ."""
-    ((adj_trace,),) = trace_matrix([m], [big_m], invert_right=True).to_rows()
-    ((cross,),) = trace_matrix([m], [big_m]).to_rows()
-    return adj_trace / big_m.det(), m.trace() * big_m.trace() - cross
-
-
-def _resolve_rng(rng: random.Random | int) -> random.Random:
-    if isinstance(rng, random.Random):
-        return rng
-    return random.Random(rng)
-
-
-def random_sl2z(word_len: int, rng: random.Random | int) -> Mat2:
-    """Product of word_len uniform factors from {S, S^-1, T, T^-1}; always
-    determinant 1 with integer entries, reproducible for a fixed seed.  The
-    word is multiplied out over plain ints."""
-    gen = _resolve_rng(rng)
-    a, b, c, d = 1, 0, 0, 1
-    for _ in range(word_len):
-        p, q, r, s = gen.choice(_SL2Z_LETTERS)
-        a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
-    return Mat2(a, b, c, d)
-
-
-def _random_gaussian(gen: random.Random) -> GaussianRational:
-    """re and im each p/q with |p| <= HEIGHT_BOUND and 1 <= q <= HEIGHT_BOUND."""
-    re = Fraction(gen.randint(-HEIGHT_BOUND, HEIGHT_BOUND), gen.randint(1, HEIGHT_BOUND))
-    im = Fraction(gen.randint(-HEIGHT_BOUND, HEIGHT_BOUND), gen.randint(1, HEIGHT_BOUND))
-    return GaussianRational(re, im)
-
-
-def random_sl2_gaussian(rng: random.Random | int) -> Mat2:
-    """Determinant-1 matrix with genuinely complex entries: a, b, c are
-    random Gaussian rationals of height HEIGHT_BOUND (a resampled until
-    nonzero) and d = (1 + b*c)/a."""
-    gen = _resolve_rng(rng)
-    while True:
-        a = _random_gaussian(gen)
-        if a:
-            break
-    b = _random_gaussian(gen)
-    c = _random_gaussian(gen)
-    d = (GR_ONE + b * c) / a
-    return Mat2(a, b, c, d)
-
-
-GRMatrix = list[list[GaussianRational]]
-
-
 class GaussianInt(NamedTuple):
     """Exact Gaussian integer re + im*i.  It is a pair of ints, so the
     elimination loops unpack it directly; the ring operators are what
@@ -263,6 +157,130 @@ def _gr_over(re: int, im: int, den: int) -> GaussianRational:
     return GaussianRational(Fraction(re, den), Fraction(im, den))
 
 
+@dataclass(frozen=True, slots=True, init=False)
+class Mat2:
+    """Element of SL(2) over the Gaussian rationals, stored as N/d: num holds
+    N's entries n11, n12, n21, n22 over Z[i], and den is d > 0, in lowest
+    terms, so equal fields are equal matrices.  Mat2(e11, e12, e21, e22)
+    takes ints, Fractions or GaussianRationals and Mat2.over(num, den) the
+    integral form; both raise NotUnimodularError unless det N = d^2.  The
+    numeric checks build one per sample and reach products only through
+    trace_matrix."""
+
+    num: tuple[GaussianInt, GaussianInt, GaussianInt, GaussianInt]
+    den: int
+
+    def __init__(self, e11, e12, e21, e22):
+        self._set_checked(*_over_zi([_gr(e) for e in (e11, e12, e21, e22)]))
+
+    @classmethod
+    def over(cls, num: Sequence[GaussianInt], den: int) -> "Mat2":
+        """The matrix N/d, from N's entries n11, n12, n21, n22 and den > 0."""
+        m = object.__new__(cls)
+        m._set_checked(num, den)
+        return m
+
+    def _set_checked(self, num: Sequence[GaussianInt], den: int) -> None:
+        """Every Mat2's one det check: reduce N/d to lowest terms, then
+        require det N = d^2 over the ints."""
+        if den < 1:
+            raise ValueError(f"denominator {den} is not positive")
+        g = math.gcd(den, *(x for z in num for x in z))
+        n11, n12, n21, n22 = num = tuple(GaussianInt(re // g, im // g) for re, im in num)
+        den //= g
+        det = n11 * n22 - n12 * n21
+        if det != (den * den, 0):
+            raise NotUnimodularError(f"determinant {_gr_over(*det, den * den)!r} is not 1")
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    @classmethod
+    def identity(cls) -> "Mat2":
+        return cls(1, 0, 0, 1)
+
+    # The entries as GaussianRationals, for reports and tests.
+    e11 = property(lambda self: _gr_over(*self.num[0], self.den))
+    e12 = property(lambda self: _gr_over(*self.num[1], self.den))
+    e21 = property(lambda self: _gr_over(*self.num[2], self.den))
+    e22 = property(lambda self: _gr_over(*self.num[3], self.den))
+
+    def trace(self) -> GaussianRational:
+        return _gr_over(*(self.num[0] + self.num[3]), self.den)
+
+    def det(self) -> GaussianRational:
+        n11, n12, n21, n22 = self.num
+        return _gr_over(*(n11 * n22 - n12 * n21), self.den * self.den)
+
+    def __repr__(self) -> str:
+        return f"[[{self.e11!r}, {self.e12!r}], [{self.e21!r}, {self.e22!r}]]"
+
+
+GEN_S = Mat2(0, -1, 1, 0)
+GEN_T = Mat2(1, 1, 0, 1)
+# S, S^-1, T and T^-1 as int 4-tuples (e11, e12, e21, e22), in the order
+# random_sl2z draws them from.
+_SL2Z_LETTERS = ((0, -1, 1, 0), (0, 1, -1, 0), (1, 1, 0, 1), (1, -1, 0, 1))
+
+DEFAULT_WORD_LEN = 12
+HEIGHT_BOUND = 5
+
+
+def trace_relation_check(m: Mat2, big_m: Mat2) -> tuple[GaussianRational, GaussianRational]:
+    """Both sides of tr(m*M^-1) = tr(m)*tr(M) - tr(m*M), with M^-1 taken as
+    adj(M)/det(M) (with adj(M) alone both sides are one polynomial).  Mat2
+    admits det = 1 only, so no pair it builds makes the sides differ."""
+    ((adj_trace,),) = trace_matrix([m], [big_m], invert_right=True).to_rows()
+    ((cross,),) = trace_matrix([m], [big_m]).to_rows()
+    return adj_trace / big_m.det(), m.trace() * big_m.trace() - cross
+
+
+def _resolve_rng(rng: random.Random | int) -> random.Random:
+    if isinstance(rng, random.Random):
+        return rng
+    return random.Random(rng)
+
+
+def random_sl2z(word_len: int, rng: random.Random | int) -> Mat2:
+    """Product of word_len uniform factors from {S, S^-1, T, T^-1}; always
+    determinant 1 with integer entries, reproducible for a fixed seed.  The
+    word is multiplied out over plain ints."""
+    gen = _resolve_rng(rng)
+    a, b, c, d = 1, 0, 0, 1
+    for _ in range(word_len):
+        p, q, r, s = gen.choice(_SL2Z_LETTERS)
+        a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
+    return Mat2.over((GaussianInt(a), GaussianInt(b), GaussianInt(c), GaussianInt(d)), 1)
+
+
+def _random_gaussian(gen: random.Random) -> tuple[GaussianInt, int]:
+    """x/p, with re and im each u/v for |u| <= HEIGHT_BOUND and
+    1 <= v <= HEIGHT_BOUND: x over Z[i], and p the product of the two v's."""
+    re, re_den = gen.randint(-HEIGHT_BOUND, HEIGHT_BOUND), gen.randint(1, HEIGHT_BOUND)
+    im, im_den = gen.randint(-HEIGHT_BOUND, HEIGHT_BOUND), gen.randint(1, HEIGHT_BOUND)
+    return GaussianInt(re * im_den, im * re_den), re_den * im_den
+
+
+def random_sl2_gaussian(rng: random.Random | int) -> Mat2:
+    """Determinant-1 matrix with genuinely complex entries: a = x/p, b = y/q
+    and c = z/r are random Gaussian rationals of height HEIGHT_BOUND (a
+    resampled until nonzero) and d = (1 + b*c)/a = (qr + yz) p conj(x) /
+    (qr |x|^2).  Over the common denominator pqr |x|^2 all four entries are
+    Gaussian integers."""
+    gen = _resolve_rng(rng)
+    while True:
+        x, p = _random_gaussian(gen)
+        if x:
+            break
+    y, q = _random_gaussian(gen)
+    z, r = _random_gaussian(gen)
+    qr, norm = q * r, x.re * x.re + x.im * x.im
+    d_num = (GaussianInt(qr) + y * z) * GaussianInt(x.re, -x.im) * (p * p)
+    return Mat2.over((x * (qr * norm), y * (p * r * norm), z * (p * q * norm), d_num), p * qr * norm)
+
+
+GRMatrix = list[list[GaussianRational]]
+
+
 @dataclass(frozen=True, slots=True, eq=False)
 class ScaledMatrix:
     """The matrix diag(1/row_den) * num * diag(1/col_den), with num over Z[i]
@@ -290,12 +308,6 @@ def _scaled(rows: ScaledMatrix | GRMatrix) -> ScaledMatrix:
     return ScaledMatrix([z for z, _ in scaled], [d for _, d in scaled], [1] * cols)
 
 
-def _integrals(mats: Sequence[Mat2]) -> tuple[list[list[GaussianInt]], list[int]]:
-    """Each Mat2 as N/d: the entries e11, e12, e21, e22 of N over Z[i], and d."""
-    forms = [_over_zi((m.e11, m.e12, m.e21, m.e22)) for m in mats]
-    return [n for n, _ in forms], [d for _, d in forms]
-
-
 def _dot(xs: Sequence[GaussianInt], ys: Sequence[GaussianInt]) -> GaussianInt:
     """sum_k xs[k] * ys[k] over Z[i]; entries may be GaussianInts or (re, im) pairs."""
     re = im = 0
@@ -303,19 +315,6 @@ def _dot(xs: Sequence[GaussianInt], ys: Sequence[GaussianInt]) -> GaussianInt:
         re += a * c - b * d
         im += a * d + b * c
     return GaussianInt(re, im)
-
-
-def _trace_nums(
-    left: list[list[GaussianInt]], right: list[list[GaussianInt]], invert_right: bool
-) -> list[list[GaussianInt]]:
-    """tr(x y), or tr(x adj y), for each x of left and y of right (entries
-    e11, e12, e21, e22 over Z[i]): tr(x z) = x11 z11 + x12 z21 + x21 z12 +
-    x22 z22, and adj y = [[y22, -y12], [-y21, y11]]."""
-    if invert_right:
-        partners = [(y22, -y21, -y12, y11) for y11, y12, y21, y22 in right]
-    else:
-        partners = [(y11, y21, y12, y22) for y11, y12, y21, y22 in right]
-    return [[_dot(x, z) for z in partners] for x in left]
 
 
 def build_magnus_matrices(
@@ -338,14 +337,13 @@ def build_magnus_matrices(
     """
     if len(ms) != len(big_ms):
         raise LengthMismatchError(f"{len(ms)} m's vs {len(big_ms)} M's")
-    nums, dens = _integrals(ms)
-    big_nums, big_dens = _integrals(big_ms)
+    cross = trace_matrix(ms, big_ms, invert_right=True)
     # The value grid of _magnus_plan, row by row: lambda = 1 and
     # a[0,j] = tr N'_j, then a[i,0] = tr N_i and a[i,j] = tr(N_i adj N'_j).
     values = [ZI_ONE]
-    values.extend(y[0] + y[3] for y in big_nums)
-    for x, row in zip(nums, _trace_nums(nums, big_nums, True)):
-        values.append(x[0] + x[3])
+    values.extend(y.num[0] + y.num[3] for y in big_ms)
+    for x, row in zip(ms, cross.num):
+        values.append(x.num[0] + x.num[3])
         values.extend(row)
 
     def at_point(plans: list[list[Plan]]) -> list[list[GaussianInt]]:
@@ -353,9 +351,9 @@ def build_magnus_matrices(
 
     a_plans, neg_b_plans, c_plans = _magnus_plan(len(ms))
     return (
-        ScaledMatrix(at_point(a_plans), [1, *dens], [1, *big_dens]),
-        ScaledMatrix(at_point(neg_b_plans), dens, big_dens),
-        ScaledMatrix(at_point(c_plans), dens, big_dens),
+        ScaledMatrix(at_point(a_plans), [1, *cross.row_den], [1, *cross.col_den]),
+        ScaledMatrix(at_point(neg_b_plans), cross.row_den, cross.col_den),
+        ScaledMatrix(at_point(c_plans), cross.row_den, cross.col_den),
     )
 
 
@@ -364,10 +362,11 @@ def _magnus_plan(n: int) -> tuple[list[list[Plan]], ...]:
     """build_thm1(n)'s A, -B and C, each entry compiled once for
     evaluate_plan.  The slots index an (n+1)x(n+1) value grid read row by
     row: a[i,j] is slot i*(n+1) + j, and lambda takes slot 0, since a[0,0]
-    occurs in no entry."""
+    occurs in no entry.  The matrices come from an uncached build: only the
+    plans are kept."""
     slots = {entry(i, j): i * (n + 1) + j for i in range(n + 1) for j in range(n + 1) if i or j}
     slots[LAMBDA] = 0
-    a_mat, b_mat, c_mat = build_thm1(n)
+    a_mat, b_mat, c_mat = build_thm1.__wrapped__(n)
     return tuple(
         [[(sign * m.entry(r, c)).plan(slots) for c in m.col_labels] for r in m.row_labels]
         for m, sign in ((a_mat, 1), (b_mat, -1), (c_mat, 1))
@@ -386,22 +385,21 @@ def build_thm2_D(
         raise ValueError(f"sign vector entries must be +1 or -1, got {tuple(eps)}")
     if len(ms) != len(big_ms):
         raise LengthMismatchError(f"{len(ms)} m's vs {len(big_ms)} M's")
-    nums, dens = _integrals(ms)
-    big_nums, big_dens = _integrals(big_ms)
-    rows = [_trace_nums([x], big_nums, e == -1)[0] for x, e in zip(nums, eps)]
-    return ScaledMatrix(rows, dens, big_dens)
+    rows = [trace_matrix([x], big_ms, e == -1).num[0] for x, e in zip(ms, eps)]
+    return ScaledMatrix(rows, [x.den for x in ms], [y.den for y in big_ms])
 
 
 def trace_matrix(left: Sequence[Mat2], right: Sequence[Mat2], invert_right: bool = False) -> ScaledMatrix:
-    """The matrix (tr(left_i * right_j)) or (tr(left_i * right_j^-1)).
-
-    No product or inverse is built: y^-1 is the adjugate of y because a Mat2
-    has det = 1, and the traces are taken over Z[i] with the scales of the
-    samples' integral forms.
-    """
-    nums, dens = _integrals(left)
-    right_nums, right_dens = _integrals(right)
-    return ScaledMatrix(_trace_nums(nums, right_nums, invert_right), dens, right_dens)
+    """The matrix (tr(left_i * right_j)) or (tr(left_i * right_j^-1)), over
+    Z[i] with the samples' scales: tr(N/d * N'/D) = (n11 n'11 + n12 n'21 +
+    n21 n'12 + n22 n'22)/(d D).  No product or inverse is built: y^-1 is
+    adj y = [[y22, -y12], [-y21, y11]] because a Mat2 has det = 1."""
+    if invert_right:
+        partners = [(y22, -y21, -y12, y11) for y11, y12, y21, y22 in (y.num for y in right)]
+    else:
+        partners = [(y11, y21, y12, y22) for y11, y12, y21, y22 in (y.num for y in right)]
+    rows = [[_dot(x.num, z) for z in partners] for x in left]
+    return ScaledMatrix(rows, [x.den for x in left], [y.den for y in right])
 
 
 def _divexact(xr: int, xi: int, qr: int, qi: int) -> tuple[int, int]:

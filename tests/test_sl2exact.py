@@ -9,9 +9,11 @@ from pathlib import Path
 
 import pytest
 
+import sl2_reference as ref
 from tracedet.exactpoly import LAMBDA, entry, evaluate_plan
 from tracedet.identbuild import build_thm1
 from tracedet.sl2exact import (
+    DEFAULT_WORD_LEN,
     GEN_S,
     GEN_T,
     GR_ONE,
@@ -64,9 +66,9 @@ def test_gaussian_rational_division_by_zero():
 
 def test_mat2_identity_and_product():
     x = Mat2(2, 3, 1, 2)
-    assert I2 @ x == x @ I2 == x
-    assert GEN_T @ Mat2(1, 0, 1, 1) == Mat2(2, 1, 1, 1)
-    assert Mat2(Fraction(1, 2), 0, 0, 2) @ Mat2(2, 0, 0, Fraction(1, 2)) == I2
+    assert ref.matmul(I2, x) == ref.matmul(x, I2) == x
+    assert ref.matmul(GEN_T, Mat2(1, 0, 1, 1)) == Mat2(2, 1, 1, 1)
+    assert ref.matmul(Mat2(Fraction(1, 2), 0, 0, 2), Mat2(2, 0, 0, Fraction(1, 2))) == I2
 
 
 def test_mat2_det_multiplicative():
@@ -74,17 +76,18 @@ def test_mat2_det_multiplicative():
     for _ in range(20):
         x = random_sl2z(6, rng)
         y = random_sl2_gaussian(rng)
-        assert (x @ y).det() == x.det() * y.det()
+        assert ref.matmul(x, y).det() == x.det() * y.det()
 
 
 def test_mat2_inverse():
-    assert GEN_T.inverse() == Mat2(1, -1, 0, 1)
-    assert I2.inverse() == I2
-    assert GEN_S.inverse() == Mat2(0, 1, -1, 0)
+    assert ref.inverse(GEN_T) == Mat2(1, -1, 0, 1)
+    assert ref.inverse(I2) == I2
+    assert ref.inverse(GEN_S) == Mat2(0, 1, -1, 0)
     # det = i*(-i) - (1+i)*0 = 1; the inverse is the adjugate.
     complex_sl2 = Mat2(gr(0, 1), gr(1, 1), 0, gr(0, -1))
-    assert complex_sl2.inverse() == Mat2(gr(0, -1), gr(-1, -1), 0, gr(0, 1))
-    assert complex_sl2 @ complex_sl2.inverse() == complex_sl2.inverse() @ complex_sl2 == I2
+    inv = ref.inverse(complex_sl2)
+    assert inv == Mat2(gr(0, -1), gr(-1, -1), 0, gr(0, 1))
+    assert ref.matmul(complex_sl2, inv) == ref.matmul(inv, complex_sl2) == I2
 
 
 def test_sl2_constructor_rejects_non_unimodular():
@@ -100,6 +103,37 @@ def test_sl2_constructor_rejects_non_unimodular():
             pytest.fail(f"{what} was accepted")
     with pytest.raises(TypeError):
         Mat2(1.0, 0, 0, 1)
+
+
+def test_integral_form_rejects_det_not_d_squared():
+    zero = GaussianInt()
+    non_unimodular = {
+        "det 2": ((GaussianInt(2), zero, zero, ZI_ONE), 1),
+        "I/2, det 1/4": ((ZI_ONE, zero, zero, ZI_ONE), 2),
+        "complex det": ((GaussianInt(0, 1), zero, zero, ZI_ONE), 1),
+        "det -1 after reduction": ((zero, GaussianInt(3), GaussianInt(3), zero), 3),
+    }
+    for what, (num, den) in non_unimodular.items():
+        with pytest.raises(NotUnimodularError):
+            Mat2.over(num, den)
+            pytest.fail(f"{what} was accepted")
+    # det N = d^2 holds for these, but d is not a positive denominator.
+    for num, den in (((ZI_ONE, zero, zero, zero), 0), ((-ZI_ONE, zero, zero, -ZI_ONE), -1)):
+        with pytest.raises(ValueError, match="not positive"):
+            Mat2.over(num, den)
+
+
+def test_integral_form_is_reduced():
+    half = Mat2(Fraction(1, 2), 0, 0, 2)
+    assert (half.num, half.den) == ((ZI_ONE, GaussianInt(), GaussianInt(), GaussianInt(4)), 2)
+    # N*k/(d*k) is N/d: it stores the same fields, so it compares and hashes
+    # equal to the Mat2 built from the rational entries.
+    for m in (half, GEN_S, random_sl2z(12, 4), random_sl2_gaussian(3)):
+        for k in (2, 3, 12):
+            scaled = Mat2.over([z * k for z in m.num], m.den * k)
+            assert (scaled.num, scaled.den) == (m.num, m.den)
+            assert scaled == m == Mat2(m.e11, m.e12, m.e21, m.e22)
+            assert hash(scaled) == hash(m)
 
 
 def test_trace_relation_examples():
@@ -122,8 +156,8 @@ def test_trace_relation_reads_det():
     # 3/2, while tr(m) tr(M) - tr(m M) = 3.  A left side taken from the
     # adjugate alone would equal the right side for every pair.
     big = object.__new__(Mat2)
-    for name, value in zip(("e11", "e12", "e21", "e22"), (2, 0, 0, 1)):
-        object.__setattr__(big, name, gr(value))
+    object.__setattr__(big, "num", (GaussianInt(2), GaussianInt(), GaussianInt(), ZI_ONE))
+    object.__setattr__(big, "den", 1)
     assert trace_relation_check(GEN_T, big) == (gr(Fraction(3, 2)), gr(3))
 
 
@@ -141,30 +175,39 @@ def test_random_sl2z_basics():
     for seed in range(10):
         m = random_sl2z(12, seed)
         assert m.det() == GR_ONE
-        assert m @ m.inverse() == I2
+        assert ref.matmul(m, ref.inverse(m)) == I2
+        assert m.den == 1
         for e in (m.e11, m.e12, m.e21, m.e22):
             assert e.im == 0 and e.re.denominator == 1
     assert random_sl2z(12, 99) == random_sl2z(12, 99)
 
 
 def test_random_sl2z_matches_mat2_word_product():
-    # The int sampler draws the same letters in the same order as the Mat2
-    # product over (S, S^-1, T, T^-1), so every seeded sample is unchanged.
-    alphabet = (GEN_S, GEN_S.inverse(), GEN_T, GEN_T.inverse())
+    # The int sampler draws the same letters in the same order as the
+    # reference product over (S, S^-1, T, T^-1), so every seeded sample is
+    # unchanged.
     for seed in range(20):
         for word_len in range(21):
-            gen = random.Random(seed)
-            expected = I2
-            for _ in range(word_len):
-                expected = expected @ gen.choice(alphabet)
-            assert random_sl2z(word_len, seed) == expected
+            assert mat2_to_json(random_sl2z(word_len, seed)) == ref.to_json(ref.sl2z_word(word_len, seed))
+
+
+@pytest.mark.parametrize("sampler, reference", [
+    pytest.param(lambda seed: random_sl2z(DEFAULT_WORD_LEN, seed),
+                 lambda seed: ref.sl2z_word(DEFAULT_WORD_LEN, seed), id="sl2z"),
+    pytest.param(random_sl2_gaussian, ref.sl2_gaussian, id="gaussian"),
+])
+def test_samplers_match_fraction_reference(sampler, reference):
+    # The package draws over Z[i]; the Fraction sampler it replaced must give
+    # the same matrix, entry by entry as mat2_to_json writes it, on every seed.
+    for seed in range(1000):
+        assert mat2_to_json(sampler(seed)) == ref.to_json(reference(seed)), seed
 
 
 def test_random_sl2_gaussian_basics():
     for seed in range(10):
         m = random_sl2_gaussian(seed)
         assert m.det() == GR_ONE
-        assert m @ m.inverse() == I2
+        assert ref.matmul(m, ref.inverse(m)) == I2
     assert random_sl2_gaussian(7) == random_sl2_gaussian(7)
 
 
@@ -226,7 +269,7 @@ def test_magnus_matrices_errors():
 
 
 def _tr(x, y):
-    return (x @ y).trace()
+    return ref.matmul(x, y).trace()
 
 
 def reference_magnus_matrices(ms, big_ms):
@@ -234,7 +277,7 @@ def reference_magnus_matrices(ms, big_ms):
     even i+j and tr(m_i M_j) for odd, B = -tr(m_i M_j), C = tr(m_i M_j^-1)."""
     m_full = [I2, *ms]
     big_full = [I2, *big_ms]
-    big_inv = [x.inverse() for x in big_full]
+    big_inv = [ref.inverse(x) for x in big_full]
     n = len(ms)
     a_mat = [
         [_tr(m_full[i], big_inv[j] if (i + j) % 2 == 0 else big_full[j]) for j in range(n + 1)]
@@ -248,7 +291,7 @@ def reference_magnus_matrices(ms, big_ms):
 def reference_thm2_D(ms, big_ms, eps):
     """Direct construction of D[i][j] = tr(m_i M_j^{eps_i})."""
     return [
-        [_tr(m, big if e == 1 else big.inverse()) for big in big_ms]
+        [_tr(m, big if e == 1 else ref.inverse(big)) for big in big_ms]
         for m, e in zip(ms, eps)
     ]
 
@@ -279,7 +322,7 @@ def test_thm2_D_identity_case():
     assert d.to_rows() == [[gr(2)] * 3] * 3
     assert exact_det(d) == GR_ZERO
     single = build_thm2_D([GEN_T], [GEN_S], [1])
-    assert single.to_rows() == [[(GEN_T @ GEN_S).trace()]]
+    assert single.to_rows() == [[_tr(GEN_T, GEN_S)]]
 
 
 def test_thm2_D_errors():
@@ -408,10 +451,10 @@ def test_thm2_det_zero_with_kernel_n5():
 def test_trace_matrix_shapes():
     ms = [GEN_T, GEN_S]
     t = trace_matrix(ms, ms).to_rows()
-    assert t[0][0] == (GEN_T @ GEN_T).trace()
-    assert t[1][0] == (GEN_S @ GEN_T).trace()
+    assert t[0][0] == _tr(GEN_T, GEN_T)
+    assert t[1][0] == _tr(GEN_S, GEN_T)
     t_inv = trace_matrix(ms, ms, invert_right=True).to_rows()
-    assert t_inv[0][1] == (GEN_T @ GEN_S.inverse()).trace()
+    assert t_inv[0][1] == _tr(GEN_T, ref.inverse(GEN_S))
 
 
 def test_exact_det_matches_polynomial_engines_on_integers():

@@ -255,8 +255,8 @@ def test_numeric_checks_build_one_mat2_per_sample(monkeypatch, run_check, draws)
     # Products and inverses are never built as Mat2s, so det = 1 is checked
     # once per drawn sample and nowhere else.
     built, sampled = [], []
-    post_init, sample = Mat2.__post_init__, verify._sample_mat
-    monkeypatch.setattr(Mat2, "__post_init__", lambda self: built.append(1) or post_init(self))
+    det_check, sample = Mat2._set_checked, verify._sample_mat
+    monkeypatch.setattr(Mat2, "_set_checked", lambda self, *a: built.append(1) or det_check(self, *a))
     monkeypatch.setattr(verify, "_sample_mat", lambda *a: sampled.append(1) or sample(*a))
     assert run_check().passed
     assert len(sampled) == draws
