@@ -1,7 +1,17 @@
 """Labeled matrices over the polynomial ring, with determinants computed by
-two deliberately independent engines (subset-DP Laplace expansion and the
-raw permutation sum), signed-permutation expansions, and Pfaffians summed
-over perfect matchings.
+two deliberately independent engines, signed-permutation expansions, and
+Pfaffians summed over perfect matchings.
+
+The engines share no arithmetic kernel, so a fault in one shows up as a
+disagreement with the other:
+
+- det_dp is a subset-DP Laplace expansion that takes the rows with the
+  fewest terms first and accumulates with exactpoly's in-place product
+  step (acc += sign*e*f);
+- det_perm_oracle is the literal permutation sum.  It flattens each entry
+  to (packed monomial, coefficient) pairs once, walks the permutations row
+  by row, and adds each term of each product on its own to one term dict,
+  with no Polynomial arithmetic.
 """
 
 from __future__ import annotations
@@ -9,7 +19,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .exactpoly import LAMBDA, Polynomial, PolyVar, _add_product
+from .exactpoly import _MASK, LAMBDA, Polynomial, PolyVar, _add_product, _check_degree
 
 DET_DP_SIZE_BOUND = 8
 DET_PERM_SIZE_BOUND = 7
@@ -171,22 +181,30 @@ def det_dp(m: PolyMatrix) -> Polynomial:
     """Determinant by Laplace expansion along rows with minors memoized per
     column subset (dynamic programming over bitmasks).
 
-    Built bottom-up by row count: layer k maps the column mask of each k x k
-    minor on the last k rows to its value and needs only layer k-1, so at
-    most two layers are alive at once.  The empty 0x0 matrix has
-    determinant 1.
+    Built layer by layer: layer k maps the column mask of each k x k minor
+    on the first k rows of the expansion order to its value and needs only
+    layer k-1, so at most two layers are alive at once.  The order puts the
+    rows with the fewest terms in total first, so every memoized minor is
+    built from the sparsest rows; rows with equal counts go bottom-up, and a
+    matrix whose rows all tie is expanded from its last row to its first.
+    Layer 0 holds the sign of that row order, which makes the full minor
+    det(m).  The empty 0x0 matrix has determinant 1.
     """
     n = m.size
     if n > DET_DP_SIZE_BOUND:
         raise SizeExceededError(f"size {n} exceeds det_dp bound {DET_DP_SIZE_BOUND}")
     rows = m.row_labels
     cols = m.col_labels
+    grid = [[m.entry(r, c) for c in cols] for r in rows]
+    # sorted is stable, so rows with equal counts keep the bottom-up order.
+    order = sorted(reversed(range(n)), key=lambda i: sum(p.num_terms() for p in grid[i]))
     masks_by_size: list[list[int]] = [[] for _ in range(n + 1)]
     for mask in range(1 << n):
         masks_by_size[bin(mask).count("1")].append(mask)
-    layer: dict[int, Polynomial] = {0: Polynomial.of_int(1)}
+    # The last layer expands rows order[n-1], ..., order[0] from the top.
+    layer: dict[int, Polynomial] = {0: Polynomial.of_int(perm_sign(order[::-1]))}
     for k in range(1, n + 1):
-        row = [m.entry(rows[n - k], c) for c in cols]
+        row = grid[order[k - 1]]
         below = layer
         layer = {}
         for mask in masks_by_size[k]:
@@ -201,20 +219,80 @@ def det_dp(m: PolyMatrix) -> Polynomial:
     return layer[(1 << n) - 1]
 
 
+def _perm_degree(grid: list[list[list[tuple[int, int]]]]) -> int:
+    """A bound on the degree of every permutation product of the flattened
+    grid that fits a monomial field, or MonomialOverflowError.
+
+    The sum over rows of the largest entry degree decides when it fits;
+    otherwise each permutation with no zero entry is checked
+    on its own, so only a product that really passes the limit raises.
+    """
+    degs = [[max((mono & _MASK for mono, _ in terms), default=0) for terms in row] for row in grid]
+    bound = sum(max(row) for row in degs)
+    if bound <= _MASK:
+        return bound
+    bound = 0
+    n = len(grid)
+    for perm in itertools.permutations(range(n)):
+        if all(grid[i][perm[i]] for i in range(n)):
+            deg = sum(degs[i][perm[i]] for i in range(n))
+            _check_degree(deg)
+            bound = max(bound, deg)
+    return bound
+
+
+def _perm_walk(
+    grid: list[list[list[tuple[int, int]]]],
+    row: int,
+    used: int,
+    partial: list[tuple[int, int]],
+    out: dict[int, int],
+) -> None:
+    """Adds to out every term of every permutation product that extends a
+    prefix: rows before ``row`` took the columns in the bitmask ``used``,
+    and ``partial`` lists the signed terms of their product, unmerged."""
+    last = row == len(grid) - 1
+    for col, terms in enumerate(grid[row]):
+        bit = 1 << col
+        if used & bit or not terms:
+            continue
+        # Each used column right of col is one more inversion.
+        sign = -1 if (used >> col).bit_count() & 1 else 1
+        if last:
+            get = out.get
+            for m1, c1 in partial:
+                c1 *= sign
+                for m2, c2 in terms:
+                    mono = m1 + m2
+                    out[mono] = get(mono, 0) + c1 * c2
+        else:
+            prefix = [(m1 + m2, sign * c1 * c2) for m1, c1 in partial for m2, c2 in terms]
+            _perm_walk(grid, row + 1, used | bit, prefix, out)
+
+
 def det_perm_oracle(m: PolyMatrix) -> Polynomial:
     """Determinant as the literal signed sum over all permutations.
 
     Kept structurally independent of det_dp so each engine can act as the
-    other's oracle; factorial cost limits it to small sizes.
+    other's oracle: it does no Polynomial arithmetic, and adds each term of
+    each permutation product on its own to one term dict.  The permutations
+    are walked row by row, so a prefix's partial products are computed once
+    for every permutation that starts with it; zero coefficients are dropped
+    at the end.  A product past the monomial degree limit raises
+    MonomialOverflowError before any term is written.  Factorial cost
+    limits it to small sizes.
     """
     n = m.size
     if n > DET_PERM_SIZE_BOUND:
         raise SizeExceededError(f"size {n} exceeds det_perm_oracle bound {DET_PERM_SIZE_BOUND}")
-    grid = [[m.entry(r, c) for c in m.col_labels] for r in m.row_labels]
-    total = Polynomial.zero()
-    for perm in itertools.permutations(range(n)):
-        _add_product(total, perm_sign(perm), *(grid[i][perm[i]] for i in range(n)))
-    return total
+    if n == 0:
+        return Polynomial.of_int(1)
+    grid = [[list(m.entry(r, c)._terms.items()) for c in m.col_labels] for r in m.row_labels]
+    deg = _perm_degree(grid)
+    out: dict[int, int] = {}
+    _perm_walk(grid, 0, 0, [(0, 1)], out)
+    terms = {mono: coeff for mono, coeff in out.items() if coeff}
+    return Polynomial._wrap(terms, deg if terms else 0)
 
 
 def det_signed_perm_expansion(

@@ -2,12 +2,13 @@
 Pfaffian/perfect-matching behaviour."""
 
 import gc
+import itertools
 import random
 
 import pytest
 
 from tracedet import symmat
-from tracedet.exactpoly import LAMBDA, Polynomial, entry
+from tracedet.exactpoly import LAMBDA, MonomialOverflowError, Polynomial, entry
 from tracedet.identbuild import build_thm1, build_thm3
 from tracedet.symmat import (
     EVEN_CORRECTED,
@@ -24,6 +25,7 @@ from tracedet.symmat import (
     matching_sign,
     perfect_matchings,
     pfaffian,
+    perm_sign,
     pfaffian_split,
 )
 
@@ -143,14 +145,48 @@ def test_size_bounds_enforced(monkeypatch):
     assert det_perm_oracle(generic_matrix(8)) == det_dp(generic_matrix(8))
 
 
-def test_det_dp_leaves_no_garbage_cycles():
-    # The minors must be freed by reference counting when det_dp returns; a
-    # memo reachable from a cycle would stay alive until a cyclic collection.
+def test_oracle_overflow_guard_raises_on_a_product_past_255():
+    grid = [[LAM ** 200, 0], [0, a(1, 1) ** 56]]
+    m = PolyMatrix.build(range(2), range(2), lambda i, j: grid[i][j])
+    with pytest.raises(MonomialOverflowError):
+        det_perm_oracle(m)
+
+
+def test_oracle_overflow_guard_checks_each_permutation():
+    # The row bound is 200 + 100 = 300, but neither product passes 255.
+    grid = [[LAM ** 200, 1], [LAM ** 100, 1]]
+    m = PolyMatrix.build(range(2), range(2), lambda i, j: grid[i][j])
+    assert det_perm_oracle(m) == LAM ** 200 - LAM ** 100
+
+
+def test_row_order_sign():
+    # Rows with 1, 2, 3 and 4 terms, so det_dp's sparsest-first order is not
+    # the bottom-up one; every row permutation must scale det by its sign.
+    grid = [
+        [0, a(0, 1), 0, 0],
+        [a(1, 0), 0, 0, a(1, 3)],
+        [a(2, 0), a(2, 1), a(2, 2), 0],
+        [a(3, 0), a(3, 1), a(3, 2), a(3, 3)],
+    ]
+    base = det_dp(PolyMatrix.build(range(4), range(4), lambda i, j: grid[i][j]))
+    assert not base.is_zero()
+    for perm in itertools.permutations(range(4)):
+        m = PolyMatrix.build(range(4), range(4), lambda i, j: grid[perm[i]][j])
+        det = det_dp(m)
+        assert det == perm_sign(perm) * base
+        assert det == det_perm_oracle(m)
+
+
+@pytest.mark.parametrize("engine", [det_dp, det_perm_oracle], ids=lambda f: f.__name__)
+def test_det_dp_leaves_no_garbage_cycles(engine):
+    # The minors and partial products must be freed by reference counting
+    # when the engine returns; anything reachable from a cycle would stay
+    # alive until a cyclic collection.
     m = generic_matrix(6)
     gc.collect()
     gc.disable()
     try:
-        det_dp(m)
+        engine(m)
         assert gc.collect() == 0
     finally:
         gc.enable()
