@@ -441,11 +441,12 @@ def _add_product(acc: Polynomial, sign: int, *factors: Polynomial) -> None:
     """acc += sign * factors[0] * ... * factors[-1], in place; the usual call
     is acc += sign*e*f.
 
-    The accumulation step of det_dp, the signed-permutation expansion, the
-    Pfaffians and the residuals (det_perm_oracle keeps its own, so that the
-    two determinant engines share no kernel): the leading factors are multiplied out first, and the product with the last
-    one goes straight into acc's term dict, with no temporary polynomial and
-    no copying ``+``.  Stops at the first zero partial product.  acc must be
+    The accumulation step of det_dp, the Pfaffians and the residuals
+    (det_perm_oracle and the signed-permutation expansion walk their own, so
+    that the two determinant engines share no kernel): the leading factors
+    are multiplied out first, and the product with the last one goes
+    straight into acc's term dict, with no temporary polynomial and no
+    copying ``+``.  Stops at the first zero partial product.  acc must be
     an accumulator its caller owns, and none of the factors.  A product of
     degree above 2^W - 1 raises MonomialOverflowError with acc untouched.
     """

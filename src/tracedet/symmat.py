@@ -12,14 +12,16 @@ disagreement with the other:
   to (packed monomial, coefficient) pairs once, walks the permutations row
   by row, and adds each term of each product on its own to one term dict,
   with no Polynomial arithmetic.
+
+det_signed_perm_expansion runs on the same walk, each cell listing the
+base entry's terms and, where the parity rule allows, the correction's.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .exactpoly import _MASK, LAMBDA, Polynomial, PolyVar, _add_product, _check_degree
+from .exactpoly import _MASK, LAMBDA, Polynomial, PolyVar, _add_product, _check_degree, _degree
 
 DET_DP_SIZE_BOUND = 8
 DET_PERM_SIZE_BOUND = 7
@@ -219,39 +221,22 @@ def det_dp(m: PolyMatrix) -> Polynomial:
     return layer[(1 << n) - 1]
 
 
-def _perm_degree(grid: list[list[list[tuple[int, int]]]]) -> int:
-    """A bound on the degree of every permutation product of the flattened
-    grid that fits a monomial field, or MonomialOverflowError.
-
-    The sum over rows of the largest entry degree decides when it fits;
-    otherwise each permutation with no zero entry is checked
-    on its own, so only a product that really passes the limit raises.
-    """
-    degs = [[max((mono & _MASK for mono, _ in terms), default=0) for terms in row] for row in grid]
-    bound = sum(max(row) for row in degs)
-    if bound <= _MASK:
-        return bound
-    bound = 0
-    n = len(grid)
-    for perm in itertools.permutations(range(n)):
-        if all(grid[i][perm[i]] for i in range(n)):
-            deg = sum(degs[i][perm[i]] for i in range(n))
-            _check_degree(deg)
-            bound = max(bound, deg)
-    return bound
-
-
 def _perm_walk(
     grid: list[list[list[tuple[int, int]]]],
+    degs: list[list[int]],
     row: int,
     used: int,
+    deg: int,
     partial: list[tuple[int, int]],
     out: dict[int, int],
 ) -> None:
     """Adds to out every term of every permutation product that extends a
     prefix: rows before ``row`` took the columns in the bitmask ``used``,
-    and ``partial`` lists the signed terms of their product, unmerged."""
+    ``partial`` lists the signed terms of their product, unmerged, and
+    ``deg`` is its degree.  A product past the monomial degree limit raises
+    MonomialOverflowError at its leaf, before any of its terms is formed."""
     last = row == len(grid) - 1
+    row_degs = degs[row]
     for col, terms in enumerate(grid[row]):
         bit = 1 << col
         if used & bit or not terms:
@@ -259,6 +244,7 @@ def _perm_walk(
         # Each used column right of col is one more inversion.
         sign = -1 if (used >> col).bit_count() & 1 else 1
         if last:
+            _check_degree(deg + row_degs[col])
             get = out.get
             for m1, c1 in partial:
                 c1 *= sign
@@ -267,7 +253,23 @@ def _perm_walk(
                     out[mono] = get(mono, 0) + c1 * c2
         else:
             prefix = [(m1 + m2, sign * c1 * c2) for m1, c1 in partial for m2, c2 in terms]
-            _perm_walk(grid, row + 1, used | bit, prefix, out)
+            _perm_walk(grid, degs, row + 1, used | bit, deg + row_degs[col], prefix, out)
+
+
+def _perm_sum(grid: list[list[list[tuple[int, int]]]]) -> Polynomial:
+    """Signed sum over permutations pi of the products of grid[i][pi(i)],
+    each cell a list of (packed monomial, coefficient) pairs, added term by
+    term; the empty grid sums to 1."""
+    if not grid:
+        return Polynomial.of_int(1)
+    # Over Z the top-degree parts of the factors multiply to a nonzero part,
+    # so the walk's degrees are exact; they only grow, so a prefix that has
+    # carried into the next field never reaches a leaf that passes the check.
+    degs = [[max((mono & _MASK for mono, _ in terms), default=0) for terms in row] for row in grid]
+    out: dict[int, int] = {}
+    _perm_walk(grid, degs, 0, 0, 0, [(0, 1)], out)
+    terms = {mono: coeff for mono, coeff in out.items() if coeff}
+    return Polynomial._wrap(terms, _degree(terms))
 
 
 def det_perm_oracle(m: PolyMatrix) -> Polynomial:
@@ -277,22 +279,17 @@ def det_perm_oracle(m: PolyMatrix) -> Polynomial:
     other's oracle: it does no Polynomial arithmetic, and adds each term of
     each permutation product on its own to one term dict.  The permutations
     are walked row by row, so a prefix's partial products are computed once
-    for every permutation that starts with it; zero coefficients are dropped
-    at the end.  A product past the monomial degree limit raises
-    MonomialOverflowError before any term is written.  Factorial cost
-    limits it to small sizes.
+    for every permutation that starts with it.  A product past the monomial
+    degree limit raises MonomialOverflowError inside the walk, when the
+    walk reaches it; a permutation through a zero entry is never formed and
+    never raises.  Factorial cost limits it to small sizes.
     """
     n = m.size
     if n > DET_PERM_SIZE_BOUND:
         raise SizeExceededError(f"size {n} exceeds det_perm_oracle bound {DET_PERM_SIZE_BOUND}")
-    if n == 0:
-        return Polynomial.of_int(1)
-    grid = [[list(m.entry(r, c)._terms.items()) for c in m.col_labels] for r in m.row_labels]
-    deg = _perm_degree(grid)
-    out: dict[int, int] = {}
-    _perm_walk(grid, 0, 0, [(0, 1)], out)
-    terms = {mono: coeff for mono, coeff in out.items() if coeff}
-    return Polynomial._wrap(terms, deg if terms else 0)
+    return _perm_sum(
+        [[list(m.entry(r, c)._terms.items()) for c in m.col_labels] for r in m.row_labels]
+    )
 
 
 def det_signed_perm_expansion(
@@ -307,6 +304,10 @@ def det_signed_perm_expansion(
     -lambda * correction[i] * correction[pi(i)] when eps_i = -1.  eps_i = -1
     is allowed only where i + pi(i) is even (``even_corrected``) or odd
     (``odd_corrected``); elsewhere eps_i is forced to +1.
+
+    Walked like det_perm_oracle, with cell (i, j) listing base[i, j]'s terms
+    and then, where eps_i = -1 is allowed, the correction's, unmerged: each
+    term of each walked product is one term of one signed permutation.
     """
     if parity_rule not in (EVEN_CORRECTED, ODD_CORRECTED):
         raise ValueError(f"unknown parity rule {parity_rule!r}")
@@ -323,21 +324,14 @@ def det_signed_perm_expansion(
         raise UnknownLabelError(f"correction missing labels {missing}")
     target = 0 if parity_rule == EVEN_CORRECTED else 1
     lam = Polynomial.of_var(LAMBDA)
-    total = Polynomial.zero()
-    for image in itertools.permutations(labels):
-        sgn = perm_sign([labels.index(x) for x in image])
-        correctable = [
-            idx for idx, i in enumerate(labels) if (i + image[idx]) % 2 == target
-        ]
-        for k in range(len(correctable) + 1):
-            for flipped in itertools.combinations(correctable, k):
-                flipped_set = set(flipped)
-                _add_product(total, sgn, *(
-                    -(lam * correction[i] * correction[image[idx]])
-                    if idx in flipped_set else base.entry(i, image[idx])
-                    for idx, i in enumerate(labels)
-                ))
-    return total
+
+    def cell(i: int, j: int) -> list[tuple[int, int]]:
+        terms = list(base.entry(i, j)._terms.items())
+        if (i + j) % 2 == target:
+            terms += (-(lam * correction[i] * correction[j]))._terms.items()
+        return terms
+
+    return _perm_sum([[cell(i, j) for j in labels] for i in labels])
 
 
 def perfect_matchings(labels: Sequence[int]) -> Iterator[tuple[tuple[int, int], ...]]:

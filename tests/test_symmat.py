@@ -159,6 +159,14 @@ def test_oracle_overflow_guard_checks_each_permutation():
     assert det_perm_oracle(m) == LAM ** 200 - LAM ** 100
 
 
+def test_oracle_overflow_guard_skips_a_prefix_with_only_zero_completions():
+    # Rows 0 and 1 reach degree 300 on the diagonal, but the only column
+    # left for row 2 holds a zero, so that prefix forms no product.
+    grid = [[LAM ** 200, 1, 1], [1, LAM ** 100, 1], [1, 1, 0]]
+    m = PolyMatrix.build(range(3), range(3), lambda i, j: grid[i][j])
+    assert det_perm_oracle(m) == -LAM ** 200 - LAM ** 100 + 2
+
+
 def test_row_order_sign():
     # Rows with 1, 2, 3 and 4 terms, so det_dp's sparsest-first order is not
     # the bottom-up one; every row permutation must scale det by its sign.
@@ -203,13 +211,45 @@ def test_signed_perm_expansion_n2():
     assert det_signed_perm_expansion(base, corr, ODD_CORRECTED) == a(2, 2)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", range(2, 8))
 def test_signed_perm_expansion_matches_det(n):
     _, b_mat, c_mat = build_thm3(n)
     base = generic_matrix(n - 1, start=2)
     corr = correction_map(n)
     assert det_signed_perm_expansion(base, corr, EVEN_CORRECTED) == det_dp(b_mat)
     assert det_signed_perm_expansion(base, corr, ODD_CORRECTED) == det_dp(c_mat)
+
+
+def test_signed_perm_expansion_matches_det_on_random_entries():
+    # Random single-term bases and corrections, both rules, and first
+    # labels 0-3 so that both parities of the first label occur.
+    rng = random.Random(14)
+
+    def term():
+        return rng.randint(-3, 3) * a(rng.randint(0, 4), rng.randint(0, 4))
+
+    rules = ((EVEN_CORRECTED, 0), (ODD_CORRECTED, 1))
+    for (rule, target), start, n, _ in itertools.product(rules, range(4), range(6), range(3)):
+        labels = range(start, start + n)
+        base = PolyMatrix.build(labels, labels, lambda i, j: term())
+        corr = {i: term() for i in labels}
+
+        def corrected(i, j):
+            if (i + j) % 2 == target:
+                return base.entry(i, j) - LAM * corr[i] * corr[j]
+            return base.entry(i, j)
+
+        m = PolyMatrix.build(labels, labels, corrected)
+        assert det_signed_perm_expansion(base, corr, rule) == det_dp(m)
+
+
+def test_signed_perm_expansion_overflow_guard():
+    # Two corrections of degree 201 multiply to degree 402 under either rule.
+    base = generic_matrix(2, start=2)
+    corr = {2: LAM ** 100, 3: LAM ** 100}
+    for rule in (EVEN_CORRECTED, ODD_CORRECTED):
+        with pytest.raises(MonomialOverflowError, match="402"):
+            det_signed_perm_expansion(base, corr, rule)
 
 
 def test_signed_perm_expansion_size_bound():
