@@ -1,4 +1,4 @@
-"""Two independent determinant engines and the matching-sum Pfaffian.
+"""Two independent determinant engines and the Pfaffian.
 
 det_dp expands along rows with memoized minors (fast, bound 8); the
 permutation oracle is the literal signed sum over all n! permutations
@@ -13,7 +13,6 @@ from tracedet import (
     det_dp,
     det_perm_oracle,
     entry,
-    perfect_matchings,
     pfaffian,
     pfaffian_split,
 )
@@ -55,9 +54,8 @@ def skew(n):
 
 
 m4 = skew(4)
-print("\nperfect matchings of {1,2,3,4}:", list(perfect_matchings(range(1, 5))))
 pf = pfaffian(m4)
-print("Pf =", pf)
+print("\nPf =", pf)
 print("Pf^2 == det:", pf ** 2 == det_dp(m4))
 
 # The split by the parity of the partner of index 1.

@@ -9,8 +9,6 @@ from .symmat import (
     det_dp,
     det_perm_oracle,
     det_signed_perm_expansion,
-    matching_sign,
-    perfect_matchings,
     pfaffian,
     pfaffian_split,
 )
@@ -50,7 +48,7 @@ __all__ = [
     "BETA", "LAMBDA", "Polynomial", "PolyVar", "entry",
     "EVEN_CORRECTED", "ODD_CORRECTED", "PolyMatrix",
     "det_dp", "det_perm_oracle", "det_signed_perm_expansion",
-    "matching_sign", "perfect_matchings", "pfaffian", "pfaffian_split",
+    "pfaffian", "pfaffian_split",
     "COR5", "COR6", "THM1", "THM3", "THM7",
     "apply_specialization", "build_inner_minor", "build_thm1", "build_thm3",
     "GaussianRational", "Mat2", "build_magnus_matrices", "build_thm2_D",

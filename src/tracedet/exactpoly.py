@@ -178,22 +178,6 @@ def _product_degree(p: "Polynomial", q: "Polynomial") -> int:
     return deg
 
 
-def _mul_into(out: dict[int, int], t1: dict[int, int], t2: dict[int, int]) -> None:
-    """out += t1 * t2 on term dicts; out stays canonical.  The caller has
-    checked the degrees with _product_degree."""
-    get = out.get
-    items2 = t2.items()
-    for m1, c1 in t1.items():
-        for m2, c2 in items2:
-            mono = m1 + m2
-            new = get(mono, 0) + c1 * c2
-            if new:
-                out[mono] = new
-            else:
-                # c1*c2 != 0, so a zero sum means mono was already present.
-                del out[mono]
-
-
 def evaluate_plan(plan: Plan, values: Sequence, one):
     """The value of a compiled polynomial (see Polynomial.plan) with each
     slot s set to values[s], in any ring with ``+``, ``*``, ``-`` and int
@@ -307,10 +291,9 @@ class Polynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        deg = _product_degree(self, other)
-        out: dict[int, int] = {}
-        _mul_into(out, self._terms, other._terms)
-        return Polynomial._wrap(out, deg if out else 0)
+        out = Polynomial.zero()
+        _add_product(out, 1, self, other)
+        return out
 
     __rmul__ = __mul__
 
@@ -437,28 +420,37 @@ class Polynomial:
         return self.to_text()
 
 
-def _add_product(acc: Polynomial, sign: int, *factors: Polynomial) -> None:
-    """acc += sign * factors[0] * ... * factors[-1], in place; the usual call
-    is acc += sign*e*f.
+def _add_product(acc: Polynomial, sign: int, e: Polynomial, f: Polynomial) -> None:
+    """acc += sign*e*f, in place: the one loop that multiplies Polynomials
+    term by term.
 
-    The accumulation step of det_dp, the Pfaffians and the residuals
-    (det_perm_oracle and the signed-permutation expansion walk their own, so
-    that the two determinant engines share no kernel): the leading factors
-    are multiplied out first, and the product with the last one goes
-    straight into acc's term dict, with no temporary polynomial and no
-    copying ``+``.  Stops at the first zero partial product.  acc must be
-    an accumulator its caller owns, and none of the factors.  A product of
-    degree above 2^W - 1 raises MonomialOverflowError with acc untouched.
+    ``*`` runs it into a fresh zero, and det_dp, the Pfaffians and the
+    residuals accumulate with it (det_perm_oracle and the signed-permutation
+    expansion walk flattened terms instead, so that the two determinant
+    engines share no kernel).  The sign is multiplied into each coefficient of e once, in the
+    outer loop, so e should be the short factor; the products go straight
+    into acc's term dict, with no temporary polynomial and no copying
+    ``+``.  A zero sign leaves acc untouched.  acc must be an accumulator
+    its caller owns, and neither e nor f.  A product of degree above
+    2^W - 1 raises MonomialOverflowError with acc untouched.
     """
-    head = Polynomial.of_int(sign)
-    for f in factors[:-1]:
-        head = head * f
-        if not head:
-            return
-    last = factors[-1] if factors else Polynomial.of_int(1)
-    deg = _product_degree(head, last)
-    _mul_into(acc._terms, head._terms, last._terms)
-    acc._deg = max(acc._deg, deg)
+    if not sign:
+        return
+    deg = _product_degree(e, f)
+    out = acc._terms
+    get = out.get
+    items2 = f._terms.items()
+    for m1, c1 in e._terms.items():
+        c1 *= sign
+        for m2, c2 in items2:
+            mono = m1 + m2
+            new = get(mono, 0) + c1 * c2
+            if new:
+                out[mono] = new
+            else:
+                # c1*c2 != 0, so a zero sum means mono was already present.
+                del out[mono]
+    acc._deg = max(acc._deg, deg) if out else 0
 
 
 def _coerce(value) -> Polynomial:

@@ -1,6 +1,6 @@
 """Labeled matrices over the polynomial ring, with determinants computed by
 two deliberately independent engines, signed-permutation expansions, and
-Pfaffians summed over perfect matchings.
+Pfaffians expanded along their smallest label.
 
 The engines share no arithmetic kernel, so a fault in one shows up as a
 disagreement with the other:
@@ -15,11 +15,12 @@ disagreement with the other:
 
 det_signed_perm_expansion runs on the same walk, each cell listing the
 base entry's terms and, where the parity rule allows, the correction's.
+The Pfaffians, like det_dp, accumulate with exactpoly's step.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .exactpoly import _MASK, LAMBDA, Polynomial, PolyVar, _add_product, _check_degree, _degree
 
@@ -334,34 +335,6 @@ def det_signed_perm_expansion(
     return _perm_sum([[cell(i, j) for j in labels] for i in labels])
 
 
-def perfect_matchings(labels: Sequence[int]) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All perfect matchings as tuples of (i, j) pairs with i < j, pairs
-    ordered by their smaller element."""
-    items = sorted(labels)
-
-    def rec(remaining: list[int]) -> Iterator[tuple[tuple[int, int], ...]]:
-        if not remaining:
-            yield ()
-            return
-        first = remaining[0]
-        for idx in range(1, len(remaining)):
-            partner = remaining[idx]
-            rest = remaining[1:idx] + remaining[idx + 1:]
-            for tail in rec(rest):
-                yield ((first, partner),) + tail
-
-    return rec(items)
-
-
-def matching_sign(matching: Sequence[tuple[int, int]]) -> int:
-    """Sign of the permutation (i1 j1 i2 j2 ...) with pairs sorted by their
-    smaller element."""
-    pairs = sorted((min(p), max(p)) for p in matching)
-    flat = [x for pair in pairs for x in pair]
-    order = {label: rank for rank, label in enumerate(sorted(flat))}
-    return perm_sign([order[x] for x in flat])
-
-
 def _check_skew(m: PolyMatrix) -> tuple[int, tuple[int, ...]]:
     n = m.size
     if m.row_labels != m.col_labels:
@@ -384,30 +357,41 @@ def _check_skew(m: PolyMatrix) -> tuple[int, tuple[int, ...]]:
 
 
 def pfaffian(m: PolyMatrix) -> Polynomial:
-    """Pfaffian as the signed sum over perfect matchings of the labels.
+    """Pfaffian, expanded along the smallest label (see pfaffian_split).
 
-    Sign convention: the matching (l1,ln)(l2,ln-1)... of the sorted labels
-    contributes +1, as matching_sign gives it (its flattened permutation has
-    an even number of inversions); pfaffian(m)**2 equals det(m).
+    Sign convention: over the labels l1 < l2 < ... < ln, the term
+    m[l1,l2]*m[l3,l4]*...*m[ln-1,ln] has coefficient +1, and the pairing
+    of l1 with the k-th other label (k = 0, 1, ...) carries (-1)^k;
+    pfaffian(m)**2 equals det(m).
     """
     even_part, odd_part = pfaffian_split(m)
     return even_part + odd_part
 
 
+def _pfaffian_into(
+    m: PolyMatrix, labels: tuple[int, ...], even: Polynomial, odd: Polynomial
+) -> None:
+    """Adds the Pfaffian of m on the sorted, nonempty ``labels`` into even
+    and odd: pairing labels[0] with the k-th other label adds (-1)^k * entry
+    * Pf(the rest) into even or odd by the parity of that partner."""
+    first, others = labels[0], labels[1:]
+    for k, partner in enumerate(others):
+        rest = others[:k] + others[k + 1:]
+        if rest:
+            pf_rest = Polynomial.zero()
+            _pfaffian_into(m, rest, pf_rest, pf_rest)
+        else:
+            pf_rest = Polynomial.of_int(1)
+        _add_product(odd if partner % 2 else even, -1 if k % 2 else 1, m.entry(first, partner), pf_rest)
+
+
 def pfaffian_split(m: PolyMatrix) -> tuple[Polynomial, Polynomial]:
-    """(Pf_e, Pf_o): the matching sum split by the parity of the partner of
-    the smallest label.  Pf_e + Pf_o = pfaffian(m)."""
+    """(Pf_e, Pf_o): the Pfaffian split by the parity of the label paired
+    with the smallest label.  Pf_e + Pf_o = pfaffian(m)."""
     n, labels = _check_skew(m)
     if n == 0:
         return Polynomial.of_int(1), Polynomial.zero()
     even_part = Polynomial.zero()
     odd_part = Polynomial.zero()
-    for matching in perfect_matchings(labels):
-        # perfect_matchings pairs the smallest label first.
-        partner = matching[0][1]
-        _add_product(
-            even_part if partner % 2 == 0 else odd_part,
-            matching_sign(matching),
-            *(m.entry(i, j) for i, j in matching),
-        )
+    _pfaffian_into(m, tuple(sorted(labels)), even_part, odd_part)
     return even_part, odd_part

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .exactpoly import BETA, LAMBDA, Polynomial, _add_product, entry
+from .exactpoly import BETA, LAMBDA, Polynomial, _add_product, _coerce, entry
 from .identbuild import (
     COR5,
     COR6,
@@ -190,7 +190,7 @@ def _symbolic_residual_report(
     params: dict,
     started: float,
     terms: list[tuple[int | Polynomial, PolyMatrix]],
-    extra: Polynomial | None = None,
+    extra: Polynomial | int = 0,
 ) -> VerificationReport:
     """The identity sum(c * det M for c, M in terms) + extra = 0, checked by
     computing the residual and asserting it is literally empty."""
@@ -201,14 +201,9 @@ def _symbolic_residual_report(
         witness = _engine_mismatch_witness(dets, oracle_dets)
         if witness is not None:
             return _finish(identity, n, params, started, False, witness=witness)
-    residual = Polynomial.zero()
-    if extra is not None:
-        _add_product(residual, 1, extra)
+    residual = Polynomial.zero() + extra
     for (coeff, _), det in zip(terms, dets):
-        if isinstance(coeff, int):
-            _add_product(residual, coeff, det)
-        else:
-            _add_product(residual, 1, coeff, det)
+        _add_product(residual, 1, _coerce(coeff), det)
     return _finish(identity, n, params, started, residual.is_zero(), residual=residual)
 
 
@@ -244,7 +239,7 @@ def verify_thm3_family(n: int, which: str = THM3) -> VerificationReport:
         raise ValueError(f"unknown family member {which!r}")
     check_size(which, n)
     matrices = build_thm3(n)
-    extra = None
+    extra = 0
     if which == THM3:
         a_mat, b_mat, c_mat = matrices
         beta = Polynomial.of_var(BETA)

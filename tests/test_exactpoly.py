@@ -237,13 +237,33 @@ def test_overflow_raises_before_any_term_is_written():
     with pytest.raises(MonomialOverflowError):
         _add_product(acc, 1, LAM ** 128, a(1, 1) ** 128)
     with pytest.raises(MonomialOverflowError):
-        _add_product(acc, 1, LAM ** 100, LAM ** 100, a(1, 1) ** 100)
+        _add_product(acc, 1, LAM ** 200, a(1, 1) ** 100)
     assert acc.to_text() == before
     # A product that fits raises the accumulator's bound, so the next
     # product past degree 255 is caught rather than carried into a field.
     _add_product(acc, 1, LAM ** 127, a(1, 1) ** 128)
     with pytest.raises(MonomialOverflowError):
         acc * LAM
+
+
+def test_add_product_zero_sign_is_a_no_op():
+    acc = a(1, 2) + 7
+    before = acc.to_text()
+    # Not even the degree guard runs: the product would pass 255.
+    _add_product(acc, 0, LAM ** 200, a(1, 1) ** 100)
+    assert acc.to_text() == before
+
+
+def test_add_product_negative_sign_subtracts():
+    acc = a(1, 2) * LAM + 7
+    e = 3 * LAM - a(1, 2) + 2
+    f = a(1, 2) - BET
+    expected = acc - e * f
+    _add_product(acc, -1, e, f)
+    assert acc == expected
+    # Terms that cancel leave acc, so it stays canonical.
+    _add_product(acc, 1, e, f)
+    assert acc == a(1, 2) * LAM + 7
 
 
 def test_loose_degree_bound_does_not_raise():

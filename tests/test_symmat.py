@@ -1,5 +1,5 @@
 """Determinant engine cross-checks, signed-permutation expansions, and
-Pfaffian/perfect-matching behaviour."""
+Pfaffian behaviour."""
 
 import gc
 import itertools
@@ -22,8 +22,6 @@ from tracedet.symmat import (
     det_dp,
     det_perm_oracle,
     det_signed_perm_expansion,
-    matching_sign,
-    perfect_matchings,
     pfaffian,
     perm_sign,
     pfaffian_split,
@@ -42,14 +40,18 @@ def generic_matrix(n, start=1):
     return PolyMatrix.build(labels, labels, lambda i, j: a(i, j))
 
 
-def generic_skew(n):
+def skew_on(labels):
+    """The generic skew matrix on the given labels, in the given order."""
     def rule(i, j):
         if i == j:
             return 0
         return a(i, j) if i < j else -a(j, i)
 
-    labels = range(1, n + 1)
     return PolyMatrix.build(labels, labels, rule)
+
+
+def generic_skew(n):
+    return skew_on(range(1, n + 1))
 
 
 def random_single_term_matrix(rng, n):
@@ -286,6 +288,10 @@ def test_pfaffian_empty():
 def test_pfaffian_square_is_det(n):
     m = generic_skew(n)
     assert pfaffian(m) ** 2 == det_dp(m)
+    # The Pfaffian, ** and det_dp share exactpoly's step; the oracle does not.
+    assert pfaffian(m) ** 2 == det_perm_oracle(m)
+    # One term per perfect matching of the labels.
+    assert pfaffian(m).num_terms() == {2: 1, 4: 3, 6: 15}[n]
 
 
 def test_pfaffian_rejects_non_skew():
@@ -324,16 +330,45 @@ def test_pfaffian_split_partition(n):
     assert pf_e + pf_o == pfaffian(m)
 
 
-def test_perfect_matchings_counts():
-    assert len(list(perfect_matchings(range(1, 5)))) == 3
-    assert len(list(perfect_matchings(range(1, 7)))) == 15
-    assert list(perfect_matchings(()))== [()]
+# Pf_e and Pf_o of skew_on(labels), in canonical text.
+PFAFFIAN_SPLITS = {
+    tuple(range(0, 6)): (
+        "-1*a[0,2]*a[1,3]*a[4,5] + 1*a[0,2]*a[1,4]*a[3,5] + -1*a[0,4]*a[1,2]*a[3,5]"
+        " + -1*a[0,2]*a[1,5]*a[3,4] + 1*a[0,4]*a[1,3]*a[2,5] + -1*a[0,4]*a[1,5]*a[2,3]",
+        "1*a[0,1]*a[2,3]*a[4,5] + 1*a[0,3]*a[1,2]*a[4,5] + -1*a[0,1]*a[2,4]*a[3,5]"
+        " + 1*a[0,1]*a[2,5]*a[3,4] + 1*a[0,5]*a[1,2]*a[3,4] + -1*a[0,3]*a[1,4]*a[2,5]"
+        " + 1*a[0,3]*a[1,5]*a[2,4] + -1*a[0,5]*a[1,3]*a[2,4] + 1*a[0,5]*a[1,4]*a[2,3]",
+    ),
+    tuple(range(2, 8)): (
+        "-1*a[2,4]*a[3,5]*a[6,7] + 1*a[2,4]*a[3,6]*a[5,7] + -1*a[2,6]*a[3,4]*a[5,7]"
+        " + -1*a[2,4]*a[3,7]*a[5,6] + 1*a[2,6]*a[3,5]*a[4,7] + -1*a[2,6]*a[3,7]*a[4,5]",
+        "1*a[2,3]*a[4,5]*a[6,7] + 1*a[2,5]*a[3,4]*a[6,7] + -1*a[2,3]*a[4,6]*a[5,7]"
+        " + 1*a[2,3]*a[4,7]*a[5,6] + 1*a[2,7]*a[3,4]*a[5,6] + -1*a[2,5]*a[3,6]*a[4,7]"
+        " + 1*a[2,5]*a[3,7]*a[4,6] + -1*a[2,7]*a[3,5]*a[4,6] + 1*a[2,7]*a[3,6]*a[4,5]",
+    ),
+    (7, 2, 4, 9): ("1*a[2,4]*a[7,9]", "-1*a[2,7]*a[4,9] + 1*a[2,9]*a[4,7]"),
+}
 
 
-def test_matching_sign_reference():
-    assert matching_sign(((1, 2), (3, 4))) == 1
-    assert matching_sign(((1, 3), (2, 4))) == -1
-    assert matching_sign(((1, 4), (2, 3))) == 1
+@pytest.mark.parametrize("labels", list(PFAFFIAN_SPLITS))
+def test_pfaffian_split_follows_partner_label_parity(labels):
+    # The labels do not start at 1, so the split goes by the partner's
+    # label, not by its position.
+    pf_e, pf_o = pfaffian_split(skew_on(labels))
+    expected_e, expected_o = PFAFFIAN_SPLITS[labels]
+    assert pf_e.to_text() == expected_e
+    assert pf_o.to_text() == expected_o
+
+
+def test_pfaffian_of_unsorted_labels_uses_ascending_order():
+    # The sign convention reads the labels in ascending order, whatever
+    # order the matrix lists them in.
+    pf_e, pf_o = pfaffian_split(skew_on((3, 1, 4, 2)))
+    assert pf_e.to_text() == "1*a[1,2]*a[3,4] + 1*a[1,4]*a[2,3]"
+    assert pf_o.to_text() == "-1*a[1,3]*a[2,4]"
+    assert pfaffian(skew_on((3, 1, 4, 2))) == pfaffian(generic_skew(4))
+    pf_e, pf_o = pfaffian_split(skew_on((5, 0, 3, 2, 1, 4)))
+    assert (pf_e.to_text(), pf_o.to_text()) == PFAFFIAN_SPLITS[tuple(range(0, 6))]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
