@@ -26,9 +26,9 @@ from argparse import ArgumentParser, Namespace
 from typing import Callable, Sequence, TextIO
 
 from .verify import (
-    GAUSSIAN,
-    SIZES,
-    SL2Z,
+    EPS_MODES,
+    GENERATORS,
+    IDENTITIES,
     VerificationReport,
     check_size,
     verify_magnus_numeric,
@@ -39,11 +39,10 @@ from .verify import (
     verify_trace_relation,
 )
 
-# Target -> its job at size n (None for the targets not in SIZES) with
-# generator or sign mode v.  The key order is the order 'all' runs the
-# targets in.  Each lambda looks its verify_* up in this module when the job
-# runs, so a patched cli.verify_* sees every call.
-JOBS: dict[str, Callable[[Namespace, int | None, str], VerificationReport]] = {
+# Target -> its job at size n (None without a sweep) with variant v of its
+# IDENTITIES row.  Each lambda looks its verify_* up in this module when the
+# job runs, so a patched cli.verify_* sees every call.
+JOBS: dict[str, Callable[[Namespace, int | None, str | None], VerificationReport]] = {
     "thm1": lambda cfg, n, v: verify_thm1(n),
     "thm3": lambda cfg, n, v: verify_thm3_family(n, "thm3"),
     "cor5": lambda cfg, n, v: verify_thm3_family(n, "cor5"),
@@ -54,24 +53,20 @@ JOBS: dict[str, Callable[[Namespace, int | None, str], VerificationReport]] = {
     "thm2": lambda cfg, n, v: verify_thm2(n, cfg.trials, cfg.seed, v),
     "trace": lambda cfg, n, v: verify_trace_relation(cfg.trials, cfg.seed, v),
 }
-TARGETS = (*JOBS, "all")
-# The targets that sample with --generator; 'all' runs them with both.
-PER_GENERATOR = ("magnus", "trace")
-# The targets that run random trials; the symbolic ones take no --trials.
-TRIALED = ("magnus", "magnus-original", "thm2", "trace")
+TARGETS = (*IDENTITIES, "all")
 
+# 'all' runs every trialed check with this many trials unless --trials is given.
 DEFAULT_TRIALS = 100
-DEFAULT_TRACE_TRIALS = 1000
 DEFAULT_SEED = 42
 DEFAULT_MAX_N = 6
 # Upper bounds that keep one command line from running without bound.  The
-# costs were measured on one 2.1 GHz Xeon core (Python 3.11).  --n is bounded
-# by SIZES[target].high, except that thm2 --eps exhaustive runs 2^n sign
-# vectors: n = 9 took 11 s and n = 10 took 32 s; each further n costs about
-# 2.5 times more.
+# costs were measured on one core of a shared 2-vCPU Intel Xeon virtual
+# machine (Python 3.11.7).  --n is bounded by the target's IDENTITIES row,
+# except that thm2 --eps exhaustive runs 2^n sign vectors: n = 9 took
+# 0.3-0.5 s and n = 10 took 1.0-1.25 s; each further n costs 2-3 times more.
 THM2_EXHAUSTIVE_MAX_N = 10
-# Trials per check: 1000 trace trials took 4.7 s (sl2z) and 0.95 s
-# (gaussian); 10^4 magnus trials at n = 24 would take about an hour.
+# Trials per check: 1000 trace trials took 0.17-0.20 s (sl2z) and
+# 0.16-0.22 s (gaussian); 10^4 magnus trials at n = 24 take about 2 minutes.
 MAX_TRIALS = 10_000
 
 
@@ -87,18 +82,19 @@ def build_parser() -> ArgumentParser:
     v.add_argument("--max-n", type=int, help="upper end of the default size range")
     v.add_argument("--trials", type=int, help="random trials per check")
     v.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed")
-    v.add_argument("--generator", choices=(SL2Z, GAUSSIAN))
-    v.add_argument("--eps", choices=("random", "exhaustive"),
-                   help="thm2 sign vectors (default random)")
+    v.add_argument("--generator", choices=GENERATORS)
+    v.add_argument("--eps", choices=EPS_MODES, help="thm2 sign vectors (default random)")
     v.add_argument("--format", choices=("text", "json"), default="text", dest="out_format")
     v.add_argument("--out", help="write the report here instead of stdout")
     return parser
 
 
 def _validated_config(parser: ArgumentParser, args: Namespace) -> Namespace:
-    """Check args against the target and fill in the defaults that depend on
-    it (trials, max_n, eps); the namespace returned is the run's config."""
+    """Check args against the target's IDENTITIES row, or every row for
+    'all', and fill in the defaults that depend on it (trials, max_n); the
+    namespace returned is the run's config."""
     target = args.target
+    rows = list(IDENTITIES.values()) if target == "all" else [IDENTITIES[target]]
     if args.n is not None and args.max_n is not None:
         parser.error("--n and --max-n are mutually exclusive")
     if args.n is not None and target == "all":
@@ -108,57 +104,53 @@ def _validated_config(parser: ArgumentParser, args: Namespace) -> Namespace:
     if args.max_n is not None and args.max_n < 0:
         parser.error("--max-n must be >= 0")
     # An option the target would ignore is an error, not a silent no-op.
-    if args.eps is not None and target != "thm2":
+    # 'all' runs both sign modes, so it takes no --eps.
+    if args.eps is not None and (target == "all" or args.eps not in rows[0].variants):
         parser.error(f"--eps is not valid for {target}")
     exhaustive = args.eps == "exhaustive"
-    what = "thm2 --eps exhaustive" if exhaustive else target
-    if args.trials is not None and (target not in (*TRIALED, "all") or exhaustive):
+    what = f"{target} --eps exhaustive" if exhaustive else target
+    if args.trials is not None and (exhaustive or all(r.trials is None for r in rows)):
         parser.error(f"--trials is not valid for {what}")
-    if args.generator is not None and target not in (*PER_GENERATOR, "all"):
+    if args.generator is not None and all(args.generator not in r.variants for r in rows):
         parser.error(f"--generator is not valid for {target}")
     for flag, value in (("--n", args.n), ("--max-n", args.max_n)):
-        if value is not None and target not in (*SIZES, "all"):
+        if value is not None and not any(r.sweep for r in rows):
             parser.error(f"{flag} is not valid for {target}")
     if args.n is not None:
         try:
             check_size(target, args.n)
         except ValueError as exc:
             parser.error(str(exc))
-        high = THM2_EXHAUSTIVE_MAX_N if exhaustive else SIZES[target].high
+        high = THM2_EXHAUSTIVE_MAX_N if exhaustive else rows[0].high
         if args.n > high:
             parser.error(f"--n must be <= {high} for {what}")
     if args.trials is None:
-        args.trials = DEFAULT_TRACE_TRIALS if target == "trace" else DEFAULT_TRIALS
+        args.trials = DEFAULT_TRIALS if target == "all" else rows[0].trials
     args.max_n = DEFAULT_MAX_N if args.max_n is None else args.max_n
-    args.eps = args.eps or "random"
     return args
-
-
-def _sizes(cfg: Namespace, target: str) -> tuple[int | None, ...]:
-    if target not in SIZES or cfg.n is not None:  # --n is None outside SIZES
-        return (cfg.n,)
-    return tuple(n for n in SIZES[target].sweep if n <= cfg.max_n)
 
 
 Job = Callable[[], VerificationReport]
 
 
 def build_jobs(cfg: Namespace) -> list[Job]:
-    """One job per size in range of the target, or of every target for
-    'all', and per generator for the targets in PER_GENERATOR."""
+    """One job per size in range and per variant of the target, or of every
+    target for 'all'.  A target runs the variant chosen with --generator or
+    --eps, else every variant under 'all' and its first one otherwise."""
     everything = cfg.target == "all"
-    gens = (cfg.generator,) if cfg.generator else (SL2Z, GAUSSIAN) if everything else (SL2Z,)
     jobs: list[Job] = []
-    for target in JOBS if everything else (cfg.target,):
-        sizes = _sizes(cfg, target)
-        if target == "thm2":
-            # Exhaustive mode runs 2^n sign vectors, so without --n it runs
-            # the smallest size in range only; 'all' runs both sign modes.
-            modes = ("random", "exhaustive") if everything else (cfg.eps,)
-            runs = [(m, sizes[:1] if m == "exhaustive" else sizes) for m in modes]
+    for target in IDENTITIES if everything else (cfg.target,):
+        row = IDENTITIES[target]
+        if not row.sweep or cfg.n is not None:  # --n is None without a sweep
+            sizes: tuple[int | None, ...] = (cfg.n,)
         else:
-            runs = [(g, sizes) for g in (gens if target in PER_GENERATOR else gens[:1])]
-        jobs += [functools.partial(JOBS[target], cfg, n, v) for v, ns in runs for n in ns]
+            sizes = tuple(n for n in row.sweep if n <= cfg.max_n)
+        chosen = tuple(v for v in row.variants if v and v in (cfg.generator, cfg.eps))
+        for v in chosen or (row.variants if everything else row.variants[:1]):
+            # Exhaustive mode runs 2^n sign vectors, so without --n it runs
+            # the smallest size in range only.
+            ns = sizes[:1] if v == "exhaustive" else sizes
+            jobs += [functools.partial(JOBS[target], cfg, n, v) for n in ns]
     return jobs
 
 

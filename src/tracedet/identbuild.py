@@ -95,23 +95,18 @@ def build_thm3(n: int) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
 
 
 def _specialization_map(n: int, kind: str) -> dict[PolyVar, Polynomial | int]:
-    if kind == COR5:
-        # Symmetric sequence with 2 on the diagonal, beta = 1.
-        mapping: dict[PolyVar, Polynomial | int] = {BETA: 1}
-        for i in range(1, n + 1):
-            mapping[entry(i, i)] = 2
-            for j in range(1, i):
-                mapping[entry(i, j)] = _a(j, i)
-        return mapping
-    if kind == COR6:
-        # Skew-symmetric sequence, beta = -1.
-        mapping = {BETA: -1}
-        for i in range(1, n + 1):
-            mapping[entry(i, i)] = 0
-            for j in range(1, i):
-                mapping[entry(i, j)] = -_a(j, i)
-        return mapping
-    raise ValueError(f"unknown specialization {kind!r}")
+    # kind -> (beta, diagonal entry, s) with a[i,j] -> s*a[j,i] for i > j:
+    # cor5 is the symmetric sequence with 2 on the diagonal, cor6 the skew one.
+    table = {COR5: (1, 2, 1), COR6: (-1, 0, -1)}
+    if kind not in table:
+        raise ValueError(f"unknown specialization {kind!r}")
+    beta, diagonal, sign = table[kind]
+    mapping: dict[PolyVar, Polynomial | int] = {BETA: beta}
+    for i in range(1, n + 1):
+        mapping[entry(i, i)] = diagonal
+        for j in range(1, i):
+            mapping[entry(i, j)] = sign * _a(j, i)
+    return mapping
 
 
 def apply_specialization(

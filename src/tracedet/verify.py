@@ -1,10 +1,12 @@
 """Identity checkers: residual-based symbolic verification plus seeded exact
 numeric trials, producing structured reports.
 
-A symbolic identity is a list of (coefficient, matrix) terms: the check
-computes the residual sum of c * det M and asserts it is literally empty; a
-failure carries the residual, or both engines' determinants when they
-disagree.  A numeric identity is a check run on seeded cases; a failure's
+IDENTITIES holds one row per CLI target: its sizes, the generators or sign
+modes it runs, and its default trial count.  A symbolic identity is a list
+of (coefficient, matrix) terms plus an extra polynomial: one checker
+computes the residual sum of c * det M + extra and asserts it is literally
+empty; a failure carries the residual, or both engines' determinants when
+they disagree.  A numeric identity is a check run on seeded cases; a failure's
 witness holds the case tag, the samples m and M, and the check's findings,
 which is enough to reproduce it.
 """
@@ -22,6 +24,7 @@ from .exactpoly import BETA, LAMBDA, Polynomial, _add_product, _coerce, entry
 from .identbuild import (
     COR5,
     COR6,
+    THM1,
     THM3,
     THM7,
     apply_specialization,
@@ -60,48 +63,57 @@ FAIL = "FAIL"
 
 SL2Z = "sl2z"
 GAUSSIAN = "gaussian"
+GENERATORS = (SL2Z, GAUSSIAN)
+EPS_MODES = ("random", "exhaustive")
 
 
 @dataclass(frozen=True)
-class Sizes:
-    """The sizes n an identity is stated for: n >= low, and n even when
-    ``even`` is set.  ``sweep`` is what the CLI runs when no --n is given
-    (cut at --max-n), and ``high`` bounds what one command line may ask for;
-    it limits cost, not validity, so only the CLI checks it."""
+class Identity:
+    """One CLI target, stated for n >= low (even n only when ``even``).
+    ``sweep`` is what runs without --n (cut at --max-n; empty for a target
+    that takes no size), and ``high`` bounds --n; it limits cost, not
+    validity, so only the CLI checks it.  ``variants`` are the generators or
+    sign modes the target runs, its default first; ``trials`` is its default
+    trial count, None for a symbolic identity."""
 
     sweep: tuple[int, ...]
     low: int
     high: int
     even: bool = False
+    variants: tuple[str | None, ...] = (None,)
+    trials: int | None = None
 
 
-# det_dp refuses matrices above DET_DP_SIZE_BOUND: thm1's A is (n+1)x(n+1),
-# every other symbolic family's largest matrix is n x n.  The numeric costs
-# were measured on one 2.1 GHz Xeon core (Python 3.11).
-SIZES: dict[str, Sizes] = {
-    "thm1": Sizes(tuple(range(0, 7)), low=0, high=DET_DP_SIZE_BOUND - 1),
-    "thm3": Sizes(tuple(range(1, 7)), low=1, high=DET_DP_SIZE_BOUND),
-    "cor5": Sizes(tuple(range(2, 7)), low=1, high=DET_DP_SIZE_BOUND),
-    "cor6": Sizes((2, 4, 6), low=2, high=DET_DP_SIZE_BOUND, even=True),
-    "thm7": Sizes((2, 4, 6), low=2, high=DET_DP_SIZE_BOUND, even=True),
-    # One magnus trial took 0.16 s at n = 16 and 0.34 s at n = 24 (thm1's
-    # matrices evaluated at a trace point and three exact determinants).
-    "magnus": Sizes(tuple(range(1, 7)), low=1, high=24),
+# One row per target, in the order 'all' runs them.  det_dp refuses matrices
+# above DET_DP_SIZE_BOUND: thm1's A is (n+1)x(n+1), every other symbolic
+# family's largest matrix is n x n.  The numeric costs were measured on one
+# core of a shared 2-vCPU Intel Xeon virtual machine (Python 3.11.7).
+IDENTITIES: dict[str, Identity] = {
+    "thm1": Identity(tuple(range(0, 7)), low=0, high=DET_DP_SIZE_BOUND - 1),
+    "thm3": Identity(tuple(range(1, 7)), low=1, high=DET_DP_SIZE_BOUND),
+    "cor5": Identity(tuple(range(2, 7)), low=1, high=DET_DP_SIZE_BOUND),
+    "cor6": Identity((2, 4, 6), low=2, high=DET_DP_SIZE_BOUND, even=True),
+    "thm7": Identity((2, 4, 6), low=2, high=DET_DP_SIZE_BOUND, even=True),
+    # One magnus trial took 9-13 ms at n = 24 (thm1's matrices evaluated at
+    # a trace point and three exact determinants); the first, which
+    # compiles the trace-point plan, about 70 ms.
+    "magnus": Identity(tuple(range(1, 7)), low=1, high=24, variants=GENERATORS, trials=100),
+    "magnus-original": Identity((), low=4, high=4, trials=100),
     # det D = 0 is asserted from n = 5 on; below, one determinant is
-    # reported.  One random-sign trial took 0.11 s at n = 16 and 0.25 s at
-    # n = 24.
-    "thm2": Sizes((5, 6), low=1, high=24),
+    # reported.  One random-sign trial took about 6 ms at n = 24.
+    "thm2": Identity((5, 6), low=1, high=24, variants=EPS_MODES, trials=100),
+    "trace": Identity((), low=0, high=0, variants=GENERATORS, trials=1000),
 }
 
 
 def check_size(identity: str, n: int) -> None:
     """Raise OddSizeError for an odd n of an even-only identity, and
     ValueError for an n below the identity's smallest size."""
-    sizes = SIZES[identity]
-    need = f"{identity} needs {'even ' if sizes.even else ''}n >= {sizes.low}, got {n}"
-    if sizes.even and n % 2:
+    row = IDENTITIES[identity]
+    need = f"{identity} needs {'even ' if row.even else ''}n >= {row.low}, got {n}"
+    if row.even and n % 2:
         raise OddSizeError(need)
-    if n < sizes.low:
+    if n < row.low:
         raise ValueError(need)
 
 
@@ -184,18 +196,55 @@ def _engine_mismatch_witness(dp: list[Polynomial], oracle: list[Polynomial]) -> 
     return None
 
 
-def _symbolic_residual_report(
-    identity: str,
-    n: int,
-    params: dict,
-    started: float,
-    terms: list[tuple[int | Polynomial, PolyMatrix]],
-    extra: Polynomial | int = 0,
-) -> VerificationReport:
-    """The identity sum(c * det M for c, M in terms) + extra = 0, checked by
-    computing the residual and asserting it is literally empty."""
+def _terms(
+    identity: str, n: int
+) -> tuple[list[tuple[int | Polynomial, PolyMatrix]], Polynomial | int]:
+    """The (coefficient, matrix) terms of a symbolic identity at n and the
+    polynomial ``extra``; the identity is sum(c * det M) + extra = 0.
+
+    thm1: det A - (-1)^n det B - det C = 0.
+    thm3: det A - beta*(det B + det C) - (a[1,1]-2*beta)*det(inner) = 0.
+    cor5: det A - det B - det C = 0 after the symmetric specialization.
+    cor6: det A + det B + det C = 0 after the skew specialization (even n).
+    thm7: det C + 2*Pf_e(A)*Pf_o(A) = 0 in the skew case with lambda = 1.
+    """
+    if identity == THM1:
+        a_mat, b_mat, c_mat = build_thm1(n)
+        return [(1, a_mat), (-((-1) ** n), b_mat), (-1, c_mat)], 0
+    matrices = build_thm3(n)
+    if identity == THM3:
+        a_mat, b_mat, c_mat = matrices
+        beta = Polynomial.of_var(BETA)
+        a11 = Polynomial.of_var(entry(1, 1))
+        inner = build_inner_minor(n)
+        return [(1, a_mat), (-beta, b_mat), (-beta, c_mat), (2 * beta - a11, inner)], 0
+    a_mat, b_mat, c_mat = apply_specialization(matrices, COR6 if identity == THM7 else identity)
+    if identity != THM7:
+        sign = -1 if identity == COR5 else 1
+        return [(1, a_mat), (sign, b_mat), (sign, c_mat)], 0
+    pf_even, pf_odd = pfaffian_split(a_mat.substitute({LAMBDA: 1}))
+    return [(1, c_mat.substitute({LAMBDA: 1}))], 2 * pf_even * pf_odd
+
+
+def verify_symbolic(identity: str, n: int, corrupt_sign: bool = False) -> VerificationReport:
+    """Residual check of a symbolic identity at n: sum(c * det M) + extra
+    over its terms (see _terms) is computed and must be literally empty.
+
+    ``corrupt_sign`` is the mutation-sensitivity hook: it flips the sign of
+    entry (1, 1) of the second matrix, thm1's B, so the verification must
+    fail with a nonzero witness.  Only thm1 at n >= 1 has that entry.
+    """
+    started = time.perf_counter()
+    check_size(identity, n)
+    terms, extra = _terms(identity, n)
+    params: dict = {}
+    if corrupt_sign:
+        if n < 1:
+            raise ValueError("mutation hook needs n >= 1")
+        coeff, b_mat = terms[1]
+        terms[1] = (coeff, b_mat.with_entry(1, 1, -b_mat.entry(1, 1)))
+        params["corrupt_sign"] = True
     dets, oracle_dets = _dets_dual([m for _, m in terms])
-    params = dict(params)
     params["engines"] = "dp+perm" if oracle_dets is not None else "dp"
     if oracle_dets is not None:
         witness = _engine_mismatch_witness(dets, oracle_dets)
@@ -208,58 +257,15 @@ def _symbolic_residual_report(
 
 
 def verify_thm1(n: int, corrupt_sign: bool = False) -> VerificationReport:
-    """Residual check of det A - (-1)^n det B - det C = 0 on the thm1 family.
-
-    ``corrupt_sign`` is the mutation-sensitivity hook: it flips the sign of
-    one entry of B so the verification must fail with a nonzero witness.
-    """
-    started = time.perf_counter()
-    check_size("thm1", n)
-    a_mat, b_mat, c_mat = build_thm1(n)
-    params: dict = {}
-    if corrupt_sign:
-        if n < 1:
-            raise ValueError("mutation hook needs n >= 1")
-        b_mat = b_mat.with_entry(1, 1, -b_mat.entry(1, 1))
-        params["corrupt_sign"] = True
-    terms = [(1, a_mat), (-((-1) ** n), b_mat), (-1, c_mat)]
-    return _symbolic_residual_report("thm1", n, params, started, terms)
+    """Residual check of thm1 at n; see verify_symbolic for ``corrupt_sign``."""
+    return verify_symbolic(THM1, n, corrupt_sign)
 
 
 def verify_thm3_family(n: int, which: str = THM3) -> VerificationReport:
-    """Residual checks for the thm3 family and its specializations.
-
-    thm3: det A - beta*(det B + det C) - (a[1,1]-2*beta)*det(inner) = 0.
-    cor5: det A - det B - det C = 0 after the symmetric specialization.
-    cor6: det A + det B + det C = 0 after the skew specialization (even n).
-    thm7: det C + 2*Pf_e(A)*Pf_o(A) = 0 in the skew case with lambda = 1.
-    """
-    started = time.perf_counter()
+    """Residual check of thm3 or of its specialization cor5, cor6 or thm7."""
     if which not in (THM3, COR5, COR6, THM7):
         raise ValueError(f"unknown family member {which!r}")
-    check_size(which, n)
-    matrices = build_thm3(n)
-    extra = 0
-    if which == THM3:
-        a_mat, b_mat, c_mat = matrices
-        beta = Polynomial.of_var(BETA)
-        a11 = Polynomial.of_var(entry(1, 1))
-        inner = build_inner_minor(n)
-        terms = [(1, a_mat), (-beta, b_mat), (-beta, c_mat), (2 * beta - a11, inner)]
-    elif which == COR5:
-        a_mat, b_mat, c_mat = apply_specialization(matrices, COR5)
-        terms = [(1, a_mat), (-1, b_mat), (-1, c_mat)]
-    elif which == COR6:
-        a_mat, b_mat, c_mat = apply_specialization(matrices, COR6)
-        terms = [(1, a_mat), (1, b_mat), (1, c_mat)]
-    else:  # thm7: skew specialization with lambda = 1.
-        a_skew, _, c_skew = (
-            m.substitute({LAMBDA: 1}) for m in apply_specialization(matrices, COR6)
-        )
-        pf_even, pf_odd = pfaffian_split(a_skew)
-        terms = [(1, c_skew)]
-        extra = 2 * pf_even * pf_odd
-    return _symbolic_residual_report(which, n, {}, started, terms, extra)
+    return verify_symbolic(which, n)
 
 
 def _sample_mat(generator: str, seed: int) -> Mat2:

@@ -14,7 +14,7 @@ import pytest
 from tracedet import cli
 from tracedet.cli import TARGETS, render_report, run
 from tracedet.sl2exact import mat2_to_json
-from tracedet.verify import FAIL, GAUSSIAN, PASS, SIZES, SL2Z, VerificationReport, _trials, verify_thm1
+from tracedet.verify import FAIL, GAUSSIAN, IDENTITIES, PASS, SL2Z, VerificationReport, _trials, verify_thm1
 
 
 def test_verify_thm1_single(capsys):
@@ -65,8 +65,8 @@ def test_usage_errors(capsys):
     assert run(["verify", "thm3", "--n", "9"]) == 2
     too_many_signs = str(cli.THM2_EXHAUSTIVE_MAX_N + 1)
     assert run(["verify", "thm2", "--n", too_many_signs, "--eps", "exhaustive"]) == 2
-    assert run(["verify", "magnus", "--n", str(SIZES["magnus"].high + 1)]) == 2
-    assert run(["verify", "thm2", "--n", str(SIZES["thm2"].high + 1)]) == 2
+    assert run(["verify", "magnus", "--n", str(IDENTITIES["magnus"].high + 1)]) == 2
+    assert run(["verify", "thm2", "--n", str(IDENTITIES["thm2"].high + 1)]) == 2
     assert run(["verify", "magnus", "--n", "0"]) == 2
     assert run(["verify", "thm2", "--n", "0"]) == 2
     assert run(["verify", "trace", "--trials", str(cli.MAX_TRIALS + 1)]) == 2
@@ -114,8 +114,8 @@ def test_size_bound_accepts_largest_n():
     args = parser.parse_args(["verify", "thm3", "--n", "8"])
     cfg = cli._validated_config(parser, args)
     assert (cfg.target, cfg.n) == ("thm3", 8)
-    for argv in (["magnus", "--n", str(SIZES["magnus"].high)],
-                 ["thm2", "--n", str(SIZES["thm2"].high)],
+    for argv in (["magnus", "--n", str(IDENTITIES["magnus"].high)],
+                 ["thm2", "--n", str(IDENTITIES["thm2"].high)],
                  ["trace", "--trials", str(cli.MAX_TRIALS)]):
         cfg = cli._validated_config(parser, parser.parse_args(["verify", *argv]))
         assert cfg.target == argv[0]
@@ -179,6 +179,38 @@ def test_all_runs_every_sweep_in_order(monkeypatch, capsys):
         + [("verify_thm2", 5, 3, 5, "exhaustive")]
         + [("verify_trace_relation", 3, 5, g) for g in ("sl2z", "gaussian")]
     )
+
+
+def test_each_target_runs_its_default_trials_and_variants(monkeypatch, capsys):
+    calls = []
+    for name in set(VERIFY_OF_TARGET.values()):
+        def record(*args, name=name):
+            calls.append((name, *args))
+            return VerificationReport(name, None, {}, PASS)
+        monkeypatch.setattr(cli, name, record)
+
+    def calls_of(*argv):
+        calls.clear()
+        assert run(["verify", *argv]) == 0
+        return list(calls)
+
+    assert calls_of("trace") == [("verify_trace_relation", 1000, 42, "sl2z")]
+    assert calls_of("magnus", "--n", "3") == [("verify_magnus_numeric", 3, 100, 42, "sl2z")]
+    assert calls_of("magnus-original") == [("verify_magnus_original", 100, 42)]
+    assert calls_of("thm2") == [("verify_thm2", n, 100, 42, "random") for n in (5, 6)]
+    # --generator picks the generator of magnus and trace only: thm2 still
+    # runs both sign modes and each symbolic sweep runs once.
+    families = (("thm3", range(1, 7)), ("cor5", range(2, 7)), ("cor6", (2, 4, 6)), ("thm7", (2, 4, 6)))
+    assert calls_of("all", "--generator", "gaussian", "--trials", "3") == (
+        [("verify_thm1", n) for n in range(7)]
+        + [("verify_thm3_family", n, f) for f, sizes in families for n in sizes]
+        + [("verify_magnus_numeric", n, 3, 42, "gaussian") for n in range(1, 7)]
+        + [("verify_magnus_original", 3, 42)]
+        + [("verify_thm2", n, 3, 42, "random") for n in (5, 6)]
+        + [("verify_thm2", 5, 3, 42, "exhaustive")]
+        + [("verify_trace_relation", 3, 42, "gaussian")]
+    )
+    capsys.readouterr()
 
 
 def test_benchmark_trace_hooks_exist():

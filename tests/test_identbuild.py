@@ -15,7 +15,7 @@ from tracedet.identbuild import (
     build_thm3,
 )
 from tracedet.symmat import OddSizeError, PolyMatrix
-from tracedet.verify import SIZES, check_size
+from tracedet.verify import IDENTITIES, check_size
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -217,10 +217,10 @@ def test_identity_family_validation():
     with pytest.raises(ValueError, match="even n >= 2"):
         check_size("thm7", 0)
     # Every swept size is valid and within the command-line bound.
-    for identity, sizes in SIZES.items():
+    for identity, sizes in IDENTITIES.items():
         for n in sizes.sweep:
             check_size(identity, n)
-        assert max(sizes.sweep) <= sizes.high
+        assert max(sizes.sweep, default=0) <= sizes.high
 
 
 def test_golden_thm1_n4():
