@@ -29,6 +29,7 @@ from .verify import (
     EPS_MODES,
     GENERATORS,
     IDENTITIES,
+    THM2_ASSERTED_N,
     VerificationReport,
     check_size,
     verify_magnus_numeric,
@@ -109,7 +110,10 @@ def _validated_config(parser: ArgumentParser, args: Namespace) -> Namespace:
         parser.error(f"--eps is not valid for {target}")
     exhaustive = args.eps == "exhaustive"
     what = f"{target} --eps exhaustive" if exhaustive else target
-    if args.trials is not None and (exhaustive or all(r.trials is None for r in rows)):
+    trialed = not exhaustive and any(r.trials is not None for r in rows)
+    if target == "thm2" and args.n is not None and args.n < THM2_ASSERTED_N:
+        trialed, what = False, f"thm2 --n {args.n}"  # it computes one determinant
+    if args.trials is not None and not trialed:
         parser.error(f"--trials is not valid for {what}")
     if args.generator is not None and all(args.generator not in r.variants for r in rows):
         parser.error(f"--generator is not valid for {target}")

@@ -339,14 +339,11 @@ class Polynomial:
         return evaluate_plan(self._plan({vid: s for s, vid in enumerate(ids)}), values, one)
 
     def substitute(self, mapping: Mapping[PolyVar, "Polynomial | int"]) -> "Polynomial":
-        """Ring homomorphism sending each mapped variable to its image.
-
-        Unmapped variables stay fixed.
-        """
-        ids = self._var_ids()
-        variables = [_VARS[vid] for vid in ids]
-        images = [_coerce(mapping[v]) if v in mapping else Polynomial.of_var(v) for v in variables]
-        return evaluate_plan(self._plan({vid: s for s, vid in enumerate(ids)}), images, Polynomial.of_int(1))
+        """Ring homomorphism sending each mapped variable to its image:
+        evaluate over the polynomial ring, unmapped variables sent to
+        themselves."""
+        point = {v: _coerce(mapping[v]) if v in mapping else Polynomial.of_var(v) for v in self.variables()}
+        return self.evaluate(point, Polynomial.of_int(1))
 
     def coeff_in_var(self, v: PolyVar, k: int) -> "Polynomial":
         """The polynomial q_k in p = sum_k q_k * v^k; v is absent from it."""

@@ -4,8 +4,6 @@ identities (thm1, thm3) and their specializations (cor5, cor6, thm7).
 
 from __future__ import annotations
 
-import functools
-
 from .exactpoly import BETA, LAMBDA, Polynomial, PolyVar, entry
 from .symmat import PolyMatrix
 
@@ -20,23 +18,20 @@ def _a(i: int, j: int) -> Polynomial:
     return Polynomial.of_var(entry(i, j))
 
 
-@functools.cache
 def build_thm1(n: int) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
     """The (n+1)x(n+1) matrix A (labels 0..n) and the n x n matrices B, C
     (labels 1..n) satisfying det A - (-1)^n det B - det C = 0.
 
     A has first row (2, lambda*a[0,1], ..., lambda*a[0,n]), first column
     (2, a[1,0], ..., a[n,0])^t, interior entries a[i,j] when i+j is even and
-    lambda*a[i,0]*a[0,j] - a[i,j] otherwise;
-    B[i,j] = lambda*a[i,0]*a[0,j] - a[i,j]; C[i,j] = a[i,j].
-
-    Built once per n and shared by every caller: PolyMatrix and Polynomial
-    have no mutators (with_entry, substitute and evaluate return copies), so
-    a caller cannot alter the cached matrices.
+    B[i,j] otherwise; B[i,j] = lambda*a[i,0]*a[0,j] - a[i,j]; C[i,j] = a[i,j].
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     lam = Polynomial.of_var(LAMBDA)
+
+    def b_rule(i: int, j: int) -> Polynomial:
+        return lam * _a(i, 0) * _a(0, j) - _a(i, j)
 
     def a_rule(i: int, j: int) -> Polynomial:
         if i == 0 and j == 0:
@@ -45,11 +40,11 @@ def build_thm1(n: int) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
             return lam * _a(0, j)
         if j == 0 or (i + j) % 2 == 0:
             return _a(i, j)
-        return lam * _a(i, 0) * _a(0, j) - _a(i, j)
+        return b_rule(i, j)
 
     inner = range(1, n + 1)
     a_mat = PolyMatrix.build(range(n + 1), range(n + 1), a_rule)
-    b_mat = PolyMatrix.build(inner, inner, lambda i, j: lam * _a(i, 0) * _a(0, j) - _a(i, j))
+    b_mat = PolyMatrix.build(inner, inner, b_rule)
     c_mat = PolyMatrix.build(inner, inner, lambda i, j: _a(i, j))
     return a_mat, b_mat, c_mat
 
@@ -77,20 +72,16 @@ def build_thm3(n: int) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
             return beta * _a(1, i)
         return _a(i, j)
 
-    def b_rule(i: int, j: int) -> Polynomial:
-        if (i + j) % 2 == 0:
+    def corrected(i: int, j: int, parity: int) -> Polynomial:
+        # B corrects the cells with i+j even, C those with i+j odd.
+        if (i + j) % 2 == parity:
             return _a(i, j) - lam * _a(1, i) * _a(1, j)
         return _a(i, j)
 
-    def c_rule(i: int, j: int) -> Polynomial:
-        if (i + j) % 2 == 0:
-            return _a(i, j)
-        return _a(i, j) - lam * _a(1, i) * _a(1, j)
-
     inner = range(2, n + 1)
     a_mat = PolyMatrix.build(range(1, n + 1), range(1, n + 1), a_rule)
-    b_mat = PolyMatrix.build(inner, inner, b_rule)
-    c_mat = PolyMatrix.build(inner, inner, c_rule)
+    b_mat = PolyMatrix.build(inner, inner, lambda i, j: corrected(i, j, 0))
+    c_mat = PolyMatrix.build(inner, inner, lambda i, j: corrected(i, j, 1))
     return a_mat, b_mat, c_mat
 
 

@@ -362,11 +362,10 @@ def _magnus_plan(n: int) -> tuple[list[list[Plan]], ...]:
     """build_thm1(n)'s A, -B and C, each entry compiled once for
     evaluate_plan.  The slots index an (n+1)x(n+1) value grid read row by
     row: a[i,j] is slot i*(n+1) + j, and lambda takes slot 0, since a[0,0]
-    occurs in no entry.  The matrices come from an uncached build: only the
-    plans are kept."""
+    occurs in no entry.  Only the plans are kept, not the matrices."""
     slots = {entry(i, j): i * (n + 1) + j for i in range(n + 1) for j in range(n + 1) if i or j}
     slots[LAMBDA] = 0
-    a_mat, b_mat, c_mat = build_thm1.__wrapped__(n)
+    a_mat, b_mat, c_mat = build_thm1(n)
     return tuple(
         [[(sign * m.entry(r, c)).plan(slots) for c in m.col_labels] for r in m.row_labels]
         for m, sign in ((a_mat, 1), (b_mat, -1), (c_mat, 1))

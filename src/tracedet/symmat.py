@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .exactpoly import _MASK, LAMBDA, Polynomial, PolyVar, _add_product, _check_degree, _degree
+from .exactpoly import _MASK, LAMBDA, Polynomial, PolyVar, _add_product, _check_degree, _coerce, _degree
 
 DET_DP_SIZE_BOUND = 8
 DET_PERM_SIZE_BOUND = 7
@@ -54,11 +54,10 @@ class UnknownLabelError(KeyError):
 
 
 def _coerce_poly(value) -> Polynomial:
-    if isinstance(value, Polynomial):
-        return value
-    if isinstance(value, int):
-        return Polynomial.of_int(value)
-    raise TypeError(f"matrix entries must be Polynomial or int, got {type(value)!r}")
+    poly = _coerce(value)
+    if poly is NotImplemented:
+        raise TypeError(f"matrix entries must be Polynomial or int, got {type(value)!r}")
+    return poly
 
 
 class PolyMatrix:

@@ -65,6 +65,8 @@ SL2Z = "sl2z"
 GAUSSIAN = "gaussian"
 GENERATORS = (SL2Z, GAUSSIAN)
 EPS_MODES = ("random", "exhaustive")
+# thm2 asserts det D = 0 from this n on; below it a report is informational.
+THM2_ASSERTED_N = 5
 
 
 @dataclass(frozen=True)
@@ -99,9 +101,9 @@ IDENTITIES: dict[str, Identity] = {
     # compiles the trace-point plan, about 70 ms.
     "magnus": Identity(tuple(range(1, 7)), low=1, high=24, variants=GENERATORS, trials=100),
     "magnus-original": Identity((), low=4, high=4, trials=100),
-    # det D = 0 is asserted from n = 5 on; below, one determinant is
-    # reported.  One random-sign trial took about 6 ms at n = 24.
-    "thm2": Identity((5, 6), low=1, high=24, variants=EPS_MODES, trials=100),
+    # The sweep starts where det D = 0 is asserted.  One random-sign trial
+    # took about 6 ms at n = 24.
+    "thm2": Identity((THM2_ASSERTED_N, 6), low=1, high=24, variants=EPS_MODES, trials=100),
     "trace": Identity((), low=0, high=0, variants=GENERATORS, trials=1000),
 }
 
@@ -380,41 +382,38 @@ def _thm2_check(ms: list[Mat2], big: list[Mat2], eps: tuple[int, ...]) -> dict |
     return None
 
 
-def _exhaustive_sign_cases(master_seed: int, n: int) -> Iterator[tuple]:
-    """All 2^n sign vectors over the one sample of trial 0."""
-    _, ms, big = next(_trials(SL2Z, master_seed, n, 1))
-    for eps in itertools.product((1, -1), repeat=n):
-        yield {"case": f"eps={eps}", "eps": list(eps)}, ms, big, eps
-
-
-def _random_sign_cases(master_seed: int, n: int, trials: int) -> Iterator[tuple]:
-    """Trial t's sample with a sign vector seeded by derive_seed(master_seed, n, t, 2n)."""
-    for tag, ms, big in _trials(SL2Z, master_seed, n, trials):
+def _sign_cases(master_seed: int, n: int, trials: int, eps_mode: str) -> Iterator[tuple]:
+    """thm2's cases: in exhaustive mode all 2^n sign vectors over the one
+    sample of trial 0, in random mode trial t's sample with a sign vector
+    seeded by derive_seed(master_seed, n, t, 2n)."""
+    if eps_mode not in EPS_MODES:
+        raise ValueError(f"unknown eps mode {eps_mode!r}")
+    exhaustive = eps_mode == "exhaustive"
+    for tag, ms, big in _trials(SL2Z, master_seed, n, 1 if exhaustive else trials):
         t = tag["trial"]
-        rng = random.Random(derive_seed(master_seed, n, t, 2 * n))
-        eps = tuple(rng.choice((1, -1)) for _ in range(n))
-        yield {"case": f"trial={t}", "eps": list(eps)}, ms, big, eps
+        if exhaustive:
+            signs = ((f"eps={eps}", eps) for eps in itertools.product((1, -1), repeat=n))
+        else:
+            rng = random.Random(derive_seed(master_seed, n, t, 2 * n))
+            signs = [(f"trial={t}", tuple(rng.choice((1, -1)) for _ in range(n)))]
+        for case, eps in signs:
+            yield {"case": case, "eps": list(eps)}, ms, big, eps
 
 
 def verify_thm2(
     n: int, trials: int, master_seed: int, eps_mode: str = "random"
 ) -> VerificationReport:
-    """det D = 0 with D[i][j] = tr(m_i M_j^{eps_i}), asserted for n >= 5 and
-    each zero accompanied by a re-verified left kernel vector.  For n < 5
-    only the first case's determinant is computed and reported, never
-    asserted.  ``exhaustive`` mode sweeps all 2^n sign vectors over a single
-    seeded sample."""
+    """det D = 0 with D[i][j] = tr(m_i M_j^{eps_i}), asserted for n >=
+    THM2_ASSERTED_N and each zero accompanied by a re-verified left kernel
+    vector.  Below that only the first case's determinant is computed and
+    reported, never asserted.  ``exhaustive`` mode sweeps all 2^n sign
+    vectors over a single seeded sample."""
     started = time.perf_counter()
     check_size("thm2", n)
-    if eps_mode == "exhaustive":
-        cases = _exhaustive_sign_cases(master_seed, n)
-    elif eps_mode == "random":
-        cases = _random_sign_cases(master_seed, n, trials)
-    else:
-        raise ValueError(f"unknown eps mode {eps_mode!r}")
-    asserted = n >= 5
+    cases = _sign_cases(master_seed, n, trials, eps_mode)
+    asserted = n >= THM2_ASSERTED_N
     # Only an asserted random-sign report runs ``trials`` cases: exhaustive
-    # mode draws one sample, and below n = 5 one determinant is computed.
+    # mode draws one sample, and an informational report one determinant.
     params = {"trials": trials} if asserted and eps_mode == "random" else {}
     params.update(seed=master_seed, eps_mode=eps_mode, asserted=asserted)
     if asserted:

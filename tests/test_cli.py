@@ -57,6 +57,7 @@ def test_usage_errors(capsys):
     assert run(["verify", "nonsense"]) == 2
     assert run(["verify", "cor6", "--n", "3"]) == 2
     assert run(["verify", "thm1", "--n", "-1"]) == 2
+    assert run(["verify", "thm1", "--max-n", "-1"]) == 2
     assert run(["verify", "all", "--n", "2"]) == 2
     assert run(["verify", "thm1", "--n", "2", "--max-n", "3"]) == 2
     assert run(["verify", "trace", "--n", "2"]) == 2
@@ -75,6 +76,7 @@ def test_usage_errors(capsys):
     # An option the target would ignore is rejected before any job runs.
     ignored = [[t, "--trials", "3"] for t in ("thm1", "thm3", "cor5", "cor6", "thm7")]
     ignored.append(["thm2", "--eps", "exhaustive", "--trials", "3"])
+    ignored.append(["thm2", "--n", "4", "--trials", "3"])
     ignored += [[t, "--generator", "gaussian"] for t in TARGETS if t not in ("magnus", "trace", "all")]
     ignored += [[t, "--eps", "random"] for t in TARGETS if t != "thm2"]
     ignored += [[t, "--max-n", "0"] for t in ("magnus-original", "trace")]
@@ -403,12 +405,12 @@ def test_samples_match_golden(capsys):
     # verify_all_n6.json pins verdicts only: every report in it passes, so
     # none carries a sample.  This pins what the samplers draw (trial 0 of
     # _trials(g, 42, 3, 1) for each generator) and the informational
-    # det_sample of `verify thm2 --n 4 --trials 1 --seed 42`.
+    # det_sample of `verify thm2 --n 4 --seed 42`.
     samples = {}
     for gen in (SL2Z, GAUSSIAN):
         _, ms, big = next(_trials(gen, 42, 3, 1))
         samples[gen] = {"m": [mat2_to_json(x) for x in ms], "M": [mat2_to_json(x) for x in big]}
-    assert run(["verify", "thm2", "--n", "4", "--trials", "1", "--seed", "42", "--format", "json"]) == 0
+    assert run(["verify", "thm2", "--n", "4", "--seed", "42", "--format", "json"]) == 0
     (report,) = json.loads(capsys.readouterr().out)
     pinned = {"trial0_n3": samples, "thm2_n4_det_sample": report["params"]["det_sample"]}
     assert json.dumps(pinned, indent=2) + "\n" == GOLDEN_SAMPLES.read_text()

@@ -237,3 +237,13 @@ def test_golden_thm3_n5():
         ["A", a_mat.to_text(), "B", b_mat.to_text(), "C", c_mat.to_text()]
     )
     assert rendered == (GOLDEN_DIR / "thm3_n5.txt").read_text().rstrip("\n")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_thm1(-1),
+    lambda: build_thm3(0),
+    lambda: apply_specialization(build_thm3(2), "cor7"),
+], ids=["thm1_negative_n", "thm3_n0", "unknown_specialization"])
+def test_input_checks(make):
+    with pytest.raises(ValueError):
+        make()

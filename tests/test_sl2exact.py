@@ -518,3 +518,12 @@ def test_corrupted_pivot_raises(corrupt_pivot_matrix):
     with pytest.raises(InexactDivisionError):
         left_kernel(corrupt_pivot_matrix)
 
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: Mat2(1.0, 0, 0, 1), TypeError),
+    (lambda: build_thm2_D([I2], [I2, I2], [1]), LengthMismatchError),
+    (lambda: mat_mul_vec_left([GR_ONE], [[GR_ONE, GR_ZERO], [GR_ZERO, GR_ONE]]), LengthMismatchError),
+], ids=["float_entry", "thm2_D_unpaired_samples", "vector_length"])
+def test_input_checks(make, error):
+    with pytest.raises(error):
+        make()

@@ -379,3 +379,30 @@ def test_lambda_degree_bound_thm1(n):
         assert det.degree_in_var(LAMBDA) <= 1
         for k in range(2, n + 2):
             assert det.coeff_in_var(LAMBDA, k).is_zero()
+
+
+def _swapped_cols(n):
+    """The generic n x n matrix with its column labels in reverse order."""
+    return PolyMatrix.build(range(1, n + 1), range(n, 0, -1), lambda i, j: a(i, j))
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: PolyMatrix((1, 1), (1,), {(1, 1): 0}), ValueError),
+    (lambda: PolyMatrix((1, 2), (1,), {(1, 1): 0}), UnknownLabelError),
+    (lambda: PolyMatrix((1,), (1,), {(1, 1): 0, (2, 2): 0}), UnknownLabelError),
+    (lambda: PolyMatrix((1,), (1,), {(1, 1): 0.5}), TypeError),
+    (lambda: generic_matrix(2).entry(3, 1), UnknownLabelError),
+    (lambda: generic_matrix(2).with_entry(3, 1, 0), UnknownLabelError),
+    (lambda: det_signed_perm_expansion(generic_matrix(2), {1: a(0, 1), 2: a(0, 2)}, "all"), ValueError),
+    (lambda: det_signed_perm_expansion(_swapped_cols(2), {1: a(0, 1), 2: a(0, 2)}, EVEN_CORRECTED),
+     ValueError),
+    (lambda: pfaffian_split(_swapped_cols(2)), NotSkewError),
+    (lambda: pfaffian_split(skew_on(range(1, symmat.PFAFFIAN_SIZE_BOUND + 3))), SizeExceededError),
+], ids=[
+    "duplicate_labels", "missing_entry", "entry_outside_grid", "float_entry",
+    "entry_unknown_label", "with_entry_unknown_label", "unknown_parity_rule",
+    "signed_perm_mismatched_labels", "pfaffian_mismatched_labels", "pfaffian_above_bound",
+])
+def test_input_checks(make, error):
+    with pytest.raises(error):
+        make()

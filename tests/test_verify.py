@@ -1,8 +1,11 @@
 """Reports, determinism, dual-engine residuals, and the mutation hook."""
 
+import json
+
 import pytest
 
 from tracedet import verify
+from tracedet.cli import render_report
 from tracedet.exactpoly import Polynomial
 from tracedet.identbuild import build_thm1
 from tracedet.sl2exact import (
@@ -50,7 +53,6 @@ def test_verify_thm1_mutation_hook_fails():
 
 
 def test_thm1_built_once_and_not_mutated_by_the_hook():
-    assert build_thm1(3) is build_thm1(3)
     b11 = build_thm1(3)[1].entry(1, 1)
     assert verify_thm1(3, corrupt_sign=True).status == FAIL
     assert verify_thm1(3).status == PASS
@@ -278,3 +280,27 @@ def test_engine_mismatch_is_reported(monkeypatch):
     assert r.residual is None
     assert r.witness["engine_mismatch"]["matrix_index"] == 0
     assert r.witness["engine_mismatch"]["det_perm_oracle"] == "7"
+
+
+def test_thm1_above_the_oracle_bound_runs_det_dp_alone():
+    r = verify_thm1(7)
+    assert r.status == PASS
+    assert r.params["engines"] == "dp"
+
+
+def test_fail_report_keeps_its_witness_in_json(monkeypatch):
+    monkeypatch.setattr(verify, "exact_det", _always_one)
+    r = verify_magnus_numeric(2, 3, 7)
+    (blob,) = json.loads(render_report([r], "json"))
+    assert blob["status"] == FAIL
+    assert list(blob["witness"]) == ["trial", "m", "M", "det_A", "det_B", "det_C"]
+    assert blob["witness"] == r.witness
+
+
+@pytest.mark.parametrize("make", [
+    lambda: verify_magnus_numeric(2, 1, 7, "integers"),
+    lambda: verify_thm1(0, corrupt_sign=True),
+], ids=["unknown_generator", "corrupt_sign_at_n0"])
+def test_input_checks(make):
+    with pytest.raises(ValueError):
+        make()
