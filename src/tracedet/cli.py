@@ -66,8 +66,8 @@ DEFAULT_MAX_N = 6
 # except that thm2 --eps exhaustive runs 2^n sign vectors: n = 9 took
 # 0.3-0.5 s and n = 10 took 1.0-1.25 s; each further n costs 2-3 times more.
 THM2_EXHAUSTIVE_MAX_N = 10
-# Trials per check: 1000 trace trials took 0.17-0.20 s (sl2z) and
-# 0.16-0.22 s (gaussian); 10^4 magnus trials at n = 24 take about 2 minutes.
+# Trials per check: 1000 trace trials took 0.06-0.12 s (sl2z) and
+# 0.07-0.12 s (gaussian); 10^4 magnus trials at n = 24 take about 2 minutes.
 MAX_TRIALS = 10_000
 
 

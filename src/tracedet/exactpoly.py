@@ -341,9 +341,14 @@ class Polynomial:
     def substitute(self, mapping: Mapping[PolyVar, "Polynomial | int"]) -> "Polynomial":
         """Ring homomorphism sending each mapped variable to its image:
         evaluate over the polynomial ring, unmapped variables sent to
-        themselves."""
-        point = {v: _coerce(mapping[v]) if v in mapping else Polynomial.of_var(v) for v in self.variables()}
-        return self.evaluate(point, Polynomial.of_int(1))
+        themselves.  Each variable is decoded and looked up once."""
+        ids = self._var_ids()
+        values = []
+        for vid in ids:
+            v = _VARS[vid]
+            value = mapping.get(v)
+            values.append(Polynomial.of_var(v) if value is None else _coerce(value))
+        return evaluate_plan(self._plan({vid: s for s, vid in enumerate(ids)}), values, Polynomial.of_int(1))
 
     def coeff_in_var(self, v: PolyVar, k: int) -> "Polynomial":
         """The polynomial q_k in p = sum_k q_k * v^k; v is absent from it."""

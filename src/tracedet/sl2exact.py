@@ -6,7 +6,8 @@ all arithmetic is over the Gaussian integers (pairs of ints): a Mat2 sample
 is N/d with N over Z[i], and a trace matrix is a ScaledMatrix, an integer
 matrix with one positive int scale per row and per column, reduced by one
 fraction-free routine, _echelon.  GaussianRationals (pairs of Fractions)
-appear only where a value leaves, as an entry, determinant or kernel vector.
+appear only where a value leaves, as an entry, determinant or kernel vector,
+or as the two sides of the trace relation.
 """
 
 from __future__ import annotations
@@ -111,6 +112,10 @@ GR_ZERO = GaussianRational()
 GR_ONE = GaussianRational(Fraction(1))
 
 
+# GaussianInt(re, im) without its Python-level __new__: _new(GaussianInt, (re, im)).
+_new = tuple.__new__
+
+
 class GaussianInt(NamedTuple):
     """Exact Gaussian integer re + im*i.  It is a pair of ints, so the
     elimination loops unpack it directly; the ring operators are what
@@ -123,20 +128,20 @@ class GaussianInt(NamedTuple):
         return bool(self.re or self.im)
 
     def __neg__(self) -> "GaussianInt":
-        return GaussianInt(-self.re, -self.im)
+        return _new(GaussianInt, (-self.re, -self.im))
 
     def __add__(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt(self.re + other.re, self.im + other.im)
+        return _new(GaussianInt, (self.re + other.re, self.im + other.im))
 
     def __sub__(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt(self.re - other.re, self.im - other.im)
+        return _new(GaussianInt, (self.re - other.re, self.im - other.im))
 
     def __mul__(self, other: "GaussianInt | int") -> "GaussianInt":
-        if isinstance(other, int):
-            return GaussianInt(self.re * other, self.im * other)
         a, b = self
+        if isinstance(other, int):
+            return _new(GaussianInt, (a * other, b * other))
         c, d = other
-        return GaussianInt(a * c - b * d, a * d + b * c)
+        return _new(GaussianInt, (a * c - b * d, a * d + b * c))
 
     __rmul__ = __mul__
 
@@ -182,15 +187,22 @@ class Mat2:
 
     def _set_checked(self, num: Sequence[GaussianInt], den: int) -> None:
         """Every Mat2's one det check: reduce N/d to lowest terms, then
-        require det N = d^2 over the ints."""
+        require det N = d^2 over the ints.  N's entries may be GaussianInts
+        or (re, im) int pairs."""
         if den < 1:
             raise ValueError(f"denominator {den} is not positive")
-        g = math.gcd(den, *(x for z in num for x in z))
-        n11, n12, n21, n22 = num = tuple(GaussianInt(re // g, im // g) for re, im in num)
-        den //= g
-        det = n11 * n22 - n12 * n21
-        if det != (den * den, 0):
-            raise NotUnimodularError(f"determinant {_gr_over(*det, den * den)!r} is not 1")
+        (ar, ai), (br, bi), (cr, ci), (dr, di) = num
+        g = math.gcd(den, ar, ai, br, bi, cr, ci, dr, di)
+        if g > 1:
+            ar, ai, br, bi = ar // g, ai // g, br // g, bi // g
+            cr, ci, dr, di = cr // g, ci // g, dr // g, di // g
+            den //= g
+        det_re = ar * dr - ai * di - br * cr + bi * ci
+        det_im = ar * di + ai * dr - br * ci - bi * cr
+        if det_re != den * den or det_im:
+            raise NotUnimodularError(f"determinant {_gr_over(det_re, det_im, den * den)!r} is not 1")
+        num = (_new(GaussianInt, (ar, ai)), _new(GaussianInt, (br, bi)),
+               _new(GaussianInt, (cr, ci)), _new(GaussianInt, (dr, di)))
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -228,10 +240,25 @@ HEIGHT_BOUND = 5
 def trace_relation_check(m: Mat2, big_m: Mat2) -> tuple[GaussianRational, GaussianRational]:
     """Both sides of tr(m*M^-1) = tr(m)*tr(M) - tr(m*M), with M^-1 taken as
     adj(M)/det(M) (with adj(M) alone both sides are one polynomial).  Mat2
-    admits det = 1 only, so no pair it builds makes the sides differ."""
-    ((adj_trace,),) = trace_matrix([m], [big_m], invert_right=True).to_rows()
-    ((cross,),) = trace_matrix([m], [big_m]).to_rows()
-    return adj_trace / big_m.det(), m.trace() * big_m.trace() - cross
+    admits det = 1 only, so no pair it builds makes the sides differ.
+
+    With m = N/d and M = N'/D the left side is tr(N adj N') D / (d det N')
+    and the right side (tr N tr N' - tr(N N')) / (d D).  Both traces come
+    from trace_matrix over Z[i], the left side is taken on the scale
+    d |det N'|^2, and each side leaves as one GaussianRational.  A zero
+    det N' raises SingularError."""
+    y11, y12, y21, y22 = big_m.num
+    det_re, det_im = y11 * y22 - y12 * y21
+    norm = det_re * det_re + det_im * det_im
+    if not norm:
+        raise SingularError("division by zero")
+    big_d = big_m.den
+    adj_trace = trace_matrix([m], [big_m], invert_right=True).num[0][0]
+    cross = trace_matrix([m], [big_m]).num[0][0]
+    n11, _, _, n22 = m.num
+    lhs = adj_trace * _new(GaussianInt, (det_re * big_d, -det_im * big_d))
+    rhs = (n11 + n22) * (y11 + y22) - cross
+    return _gr_over(*lhs, m.den * norm), _gr_over(*rhs, m.den * big_d)
 
 
 def _resolve_rng(rng: random.Random | int) -> random.Random:
@@ -249,15 +276,16 @@ def random_sl2z(word_len: int, rng: random.Random | int) -> Mat2:
     for _ in range(word_len):
         p, q, r, s = gen.choice(_SL2Z_LETTERS)
         a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
-    return Mat2.over((GaussianInt(a), GaussianInt(b), GaussianInt(c), GaussianInt(d)), 1)
+    return Mat2.over(((a, 0), (b, 0), (c, 0), (d, 0)), 1)
 
 
-def _random_gaussian(gen: random.Random) -> tuple[GaussianInt, int]:
+def _random_gaussian(gen: random.Random) -> tuple[int, int, int]:
     """x/p, with re and im each u/v for |u| <= HEIGHT_BOUND and
-    1 <= v <= HEIGHT_BOUND: x over Z[i], and p the product of the two v's."""
+    1 <= v <= HEIGHT_BOUND: x's re and im over Z, and p the product of the
+    two v's."""
     re, re_den = gen.randint(-HEIGHT_BOUND, HEIGHT_BOUND), gen.randint(1, HEIGHT_BOUND)
     im, im_den = gen.randint(-HEIGHT_BOUND, HEIGHT_BOUND), gen.randint(1, HEIGHT_BOUND)
-    return GaussianInt(re * im_den, im * re_den), re_den * im_den
+    return re * im_den, im * re_den, re_den * im_den
 
 
 def random_sl2_gaussian(rng: random.Random | int) -> Mat2:
@@ -268,14 +296,17 @@ def random_sl2_gaussian(rng: random.Random | int) -> Mat2:
     Gaussian integers."""
     gen = _resolve_rng(rng)
     while True:
-        x, p = _random_gaussian(gen)
-        if x:
+        xr, xi, p = _random_gaussian(gen)
+        if xr or xi:
             break
-    y, q = _random_gaussian(gen)
-    z, r = _random_gaussian(gen)
-    qr, norm = q * r, x.re * x.re + x.im * x.im
-    d_num = (GaussianInt(qr) + y * z) * GaussianInt(x.re, -x.im) * (p * p)
-    return Mat2.over((x * (qr * norm), y * (p * r * norm), z * (p * q * norm), d_num), p * qr * norm)
+    yr, yi, q = _random_gaussian(gen)
+    zr, zi, r = _random_gaussian(gen)
+    qr, norm, pp = q * r, xr * xr + xi * xi, p * p
+    # u = qr + y*z, and d's numerator is u * conj(x) * p^2.
+    ur, ui = qr + yr * zr - yi * zi, yr * zi + yi * zr
+    d_num = ((ur * xr + ui * xi) * pp, (ui * xr - ur * xi) * pp)
+    a, b, c = qr * norm, p * r * norm, p * q * norm
+    return Mat2.over(((xr * a, xi * a), (yr * b, yi * b), (zr * c, zi * c), d_num), p * qr * norm)
 
 
 GRMatrix = list[list[GaussianRational]]
@@ -314,7 +345,7 @@ def _dot(xs: Sequence[GaussianInt], ys: Sequence[GaussianInt]) -> GaussianInt:
     for (a, b), (c, d) in zip(xs, ys):
         re += a * c - b * d
         im += a * d + b * c
-    return GaussianInt(re, im)
+    return _new(GaussianInt, (re, im))
 
 
 def build_magnus_matrices(

@@ -1,9 +1,9 @@
 """Reference oracle for the SL(2) layer of tracedet.sl2exact: 2x2 products,
-adjugates and both samplers in plain Gaussian-rational (Fraction)
-arithmetic.  The package draws and stores a sample as N/d over Z[i]; this is
-the arithmetic it replaced, kept here so that the tests can compare the two
-on as many seeds as they like and can build products and inverses, which
-the package never needs."""
+adjugates, both samplers and the trace relation in plain Gaussian-rational
+(Fraction) arithmetic.  The package draws and stores a sample as N/d over
+Z[i] and sums the trace relation there; this is the arithmetic it replaced,
+kept here so that the tests can compare the two on as many seeds as they
+like and can build products and inverses, which the package never needs."""
 
 import random
 from fractions import Fraction
@@ -37,6 +37,18 @@ def adj(x: Entries) -> Entries:
 
 def entries(m: Mat2) -> Entries:
     return (m.e11, m.e12, m.e21, m.e22)
+
+
+def trace(x: Entries) -> GaussianRational:
+    return x[0] + x[3]
+
+
+def trace_relation(m: Mat2, big_m: Mat2) -> tuple[GaussianRational, GaussianRational]:
+    """Both sides of tr(m M^-1) = tr(m) tr(M) - tr(m M), with M^-1 taken as
+    adj(M)/det(M); a zero det(M) raises SingularError."""
+    x, y = entries(m), entries(big_m)
+    y11, y12, y21, y22 = y
+    return trace(mul(x, adj(y))) / (y11 * y22 - y12 * y21), trace(x) * trace(y) - trace(mul(x, y))
 
 
 def matmul(x: Mat2, y: Mat2) -> Mat2:

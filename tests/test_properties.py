@@ -15,15 +15,20 @@ from tracedet.exactpoly import BETA, LAMBDA, Polynomial, _add_product, _var_id, 
 import elimination_reference as ref
 import poly_reference as pref
 from tracedet.sl2exact import (
+    DEFAULT_WORD_LEN,
     GR_ONE,
     GR_ZERO,
     GaussianInt,
     GaussianRational,
     InexactDivisionError,
+    Mat2,
     SingularError,
     _divexact,
     exact_det,
     left_kernel,
+    mat2_to_json,
+    random_sl2_gaussian,
+    random_sl2z,
 )
 from tracedet.symmat import PolyMatrix, det_dp, det_perm_oracle
 
@@ -256,6 +261,21 @@ def test_gaussian_int_ring_axioms(x, y, z, k):
     assert bool(x) == (x != zero)
     # The inclusion into the Gaussian rationals is a ring homomorphism.
     assert _as_gr(x * y + z) == _as_gr(x) * _as_gr(y) + _as_gr(z)
+    # Every operator returns a GaussianInt, not a bare tuple.
+    for result in (x + y, x - y, -x, x * y, x * k, k * x):
+        assert type(result) is GaussianInt
+        assert (result.re, result.im) == tuple(result)
+
+
+@PROPERTY
+@given(st.integers(0, 10**6), st.integers(1, 12))
+def test_mat2_over_takes_int_pairs(seed, k):
+    # The samplers pass (re, im) int pairs; Mat2.over reduces them and
+    # stores GaussianInts, so the sample and its JSON are those of N/d.
+    for m in (random_sl2z(DEFAULT_WORD_LEN, seed), random_sl2_gaussian(seed)):
+        built = Mat2.over([(re * k, im * k) for re, im in m.num], m.den * k)
+        assert all(type(z) is GaussianInt for z in built.num)
+        assert built == m and mat2_to_json(built) == mat2_to_json(m)
 
 
 @PROPERTY

@@ -151,14 +151,42 @@ def test_trace_relation_rejects_non_unimodular():
         trace_relation_check(Mat2(2, 0, 0, 1), I2)
 
 
+def _unchecked(num, den) -> Mat2:
+    """N/d built past Mat2's det check."""
+    m = object.__new__(Mat2)
+    object.__setattr__(m, "num", tuple(GaussianInt(*z) for z in num))
+    object.__setattr__(m, "den", den)
+    return m
+
+
 def test_trace_relation_reads_det():
     # M = diag(2, 1) built past the det check: tr(m M^-1) = tr(m adj M)/2 =
     # 3/2, while tr(m) tr(M) - tr(m M) = 3.  A left side taken from the
     # adjugate alone would equal the right side for every pair.
-    big = object.__new__(Mat2)
-    object.__setattr__(big, "num", (GaussianInt(2), GaussianInt(), GaussianInt(), ZI_ONE))
-    object.__setattr__(big, "den", 1)
-    assert trace_relation_check(GEN_T, big) == (gr(Fraction(3, 2)), gr(3))
+    big = _unchecked(((2, 0), (0, 0), (0, 0), (1, 0)), 1)
+    assert trace_relation_check(GEN_T, big) == ref.trace_relation(GEN_T, big) == (gr(Fraction(3, 2)), gr(3))
+    singular = _unchecked(((1, 0), (1, 0), (1, 0), (1, 0)), 1)
+    for check in (trace_relation_check, ref.trace_relation):
+        with pytest.raises(SingularError):
+            check(GEN_T, singular)
+
+
+@pytest.mark.parametrize("sampler", [
+    pytest.param(lambda rng: random_sl2z(DEFAULT_WORD_LEN, rng), id="sl2z"),
+    pytest.param(random_sl2_gaussian, id="gaussian"),
+])
+def test_trace_relation_matches_fraction_reference(sampler):
+    # Both sides over Z[i] against the Fraction formula, on the sampled pair
+    # and on the pair with M's n11 moved by 1 past the det check, so that
+    # the left side's division by det M is compared too.
+    for seed in range(1000):
+        rng = random.Random(seed)
+        m, big = sampler(rng), sampler(rng)
+        (y11, y12, y21, y22), den = big.num, big.den
+        moved = _unchecked((y11 + ZI_ONE, y12, y21, y22), den)
+        for y in (big, moved):
+            if y.det():
+                assert trace_relation_check(m, y) == ref.trace_relation(m, y), seed
 
 
 def test_trace_relation_random_pairs():
