@@ -1,6 +1,6 @@
 """The SL(2) trace side, in exact Gaussian-rational arithmetic.
 
-Writing a[i,j] = tr(m_i M_j) with m_0 = M_0 = I, the trace relation
+Writing a[i,j] = tr(m_i M_j^-1) with m_0 = M_0 = I, the trace relation
 tr(m M^-1) = tr(m) tr(M) - tr(m M) turns the symbolic determinant
 identities into trace identities: det A = det B + det C with
 B[i][j] = -tr(m_i M_j) and C[i][j] = tr(m_i M_j^-1), det A = 0 for n >= 4,

@@ -30,11 +30,9 @@ module (``terms``, ``variables``, ``to_text``) is decoded back to PolyVar and
 ordered by variable; no result depends on the order in which ids were handed
 out.
 
-Evaluation runs a plan: each term as (coefficient, slot tuple), the slots
-indexing a list of values, each slot repeated by its variable's exponent.
-``evaluate`` compiles one per call; a caller that evaluates the same
-polynomials at many points (the magnus builders in sl2exact) compiles them
-once with ``plan`` and runs ``evaluate_plan`` on a list filled per point.
+``evaluate`` and ``substitute`` share one walk over the terms: each variable
+is decoded and looked up once, then every term is the product of its
+variables' values, one factor per unit of exponent, times its coefficient.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from __future__ import annotations
 import re
 import threading
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 _KIND_LAMBDA = 0
 _KIND_BETA = 1
@@ -86,9 +84,6 @@ def entry(i: int, j: int) -> PolyVar:
 # The public monomial form: (variable, positive exponent) pairs sorted by
 # ascending variable; the empty tuple is the unit monomial.
 Monomial = tuple[tuple[PolyVar, int], ...]
-
-# A compiled polynomial: (coefficient, slot tuple) per term.
-Plan = tuple[tuple[int, tuple[int, ...]], ...]
 
 # Bits per field of a packed monomial; total degrees stay within _MASK.
 W = 8
@@ -176,25 +171,6 @@ def _product_degree(p: "Polynomial", q: "Polynomial") -> int:
         deg = _degree(p._terms) + _degree(q._terms)
         _check_degree(deg)
     return deg
-
-
-def evaluate_plan(plan: Plan, values: Sequence, one):
-    """The value of a compiled polynomial (see Polynomial.plan) with each
-    slot s set to values[s], in any ring with ``+``, ``*``, ``-`` and int
-    scaling; ``one`` is its unit."""
-    total = None
-    for coeff, slots in plan:
-        term = None
-        for s in slots:
-            x = values[s]
-            term = x if term is None else term * x
-        # Unit coefficients are the common case; scaling costs a ring product.
-        if term is None:
-            term = one * coeff
-        elif coeff != 1:
-            term = -term if coeff == -1 else term * coeff
-        total = term if total is None else total + term
-    return one - one if total is None else total
 
 
 _TOKEN_RE = re.compile(r"^(lambda|beta|a\[(\d+),(\d+)\])(?:\^(\d+))?$")
@@ -318,37 +294,41 @@ class Polynomial:
             used |= mono
         return [vid for vid, _ in _exponents(used)]
 
-    def _plan(self, slot_of_id: Mapping[int, int]) -> Plan:
-        return tuple(
-            (coeff, tuple(slot_of_id[vid] for vid, e in _exponents(mono) for _ in range(e)))
-            for mono, coeff in self._terms.items()
-        )
-
-    def plan(self, slots: Mapping[PolyVar, int]) -> Plan:
-        """The terms compiled for evaluate_plan: (coefficient, slot tuple)
-        per term, where each variable v contributes slots[v] once per unit
-        of its exponent.  A variable missing from ``slots`` raises KeyError."""
-        return self._plan({vid: slots[_VARS[vid]] for vid in self._var_ids()})
+    def _evaluate(self, value_of, one):
+        # The term walk behind evaluate and substitute: value_of(v) is
+        # called once per variable v, and unit coefficients, the common
+        # case, cost no ring product.
+        values = {vid: value_of(_VARS[vid]) for vid in self._var_ids()}
+        total = None
+        for mono, coeff in self._terms.items():
+            term = None
+            for vid, e in _exponents(mono):
+                x = values[vid]
+                for _ in range(e):
+                    term = x if term is None else term * x
+            if term is None:
+                term = one * coeff
+            elif coeff != 1:
+                term = -term if coeff == -1 else term * coeff
+            total = term if total is None else total + term
+        return one - one if total is None else total
 
     def evaluate(self, point: Mapping[PolyVar, object], one):
         """Ring homomorphism sending each variable v to ``point[v]`` in any
         ring with ``+``, ``*``, ``-`` and int scaling; ``one`` is its unit.
         A variable missing from ``point`` raises KeyError."""
-        ids = self._var_ids()
-        values = [point[_VARS[vid]] for vid in ids]
-        return evaluate_plan(self._plan({vid: s for s, vid in enumerate(ids)}), values, one)
+        return self._evaluate(point.__getitem__, one)
 
     def substitute(self, mapping: Mapping[PolyVar, "Polynomial | int"]) -> "Polynomial":
         """Ring homomorphism sending each mapped variable to its image:
         evaluate over the polynomial ring, unmapped variables sent to
-        themselves.  Each variable is decoded and looked up once."""
-        ids = self._var_ids()
-        values = []
-        for vid in ids:
-            v = _VARS[vid]
+        themselves."""
+
+        def image(v: PolyVar) -> Polynomial:
             value = mapping.get(v)
-            values.append(Polynomial.of_var(v) if value is None else _coerce(value))
-        return evaluate_plan(self._plan({vid: s for s, vid in enumerate(ids)}), values, Polynomial.of_int(1))
+            return Polynomial.of_var(v) if value is None else _coerce(value)
+
+        return self._evaluate(image, Polynomial.of_int(1))
 
     def coeff_in_var(self, v: PolyVar, k: int) -> "Polynomial":
         """The polynomial q_k in p = sum_k q_k * v^k; v is absent from it."""

@@ -18,35 +18,47 @@ def _a(i: int, j: int) -> Polynomial:
     return Polynomial.of_var(entry(i, j))
 
 
-def build_thm1(n: int) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
-    """The (n+1)x(n+1) matrix A (labels 0..n) and the n x n matrices B, C
-    (labels 1..n) satisfying det A - (-1)^n det B - det C = 0.
+def thm1_rules(lam, a, one):
+    """thm1's entry rules in any commutative ring: the functions (i, j) ->
+    entry of A, B and C, with ``a(i, j)`` the value of a[i,j], ``lam`` that
+    of lambda and ``one`` the ring's unit.  a[0,0] is never read.
 
     A has first row (2, lambda*a[0,1], ..., lambda*a[0,n]), first column
     (2, a[1,0], ..., a[n,0])^t, interior entries a[i,j] when i+j is even and
     B[i,j] otherwise; B[i,j] = lambda*a[i,0]*a[0,j] - a[i,j]; C[i,j] = a[i,j].
+    Scaling a[i,0] by s_i, a[0,j] by t_j and a[i,j] by s_i*t_j (s_0 = t_0
+    = 1) scales entry (i, j) by s_i*t_j, so build_magnus_matrices can run
+    the rules over Z[i] and keep the scales per row and column.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    lam = Polynomial.of_var(LAMBDA)
 
-    def b_rule(i: int, j: int) -> Polynomial:
-        return lam * _a(i, 0) * _a(0, j) - _a(i, j)
+    def b_rule(i: int, j: int):
+        return lam * a(i, 0) * a(0, j) - a(i, j)
 
-    def a_rule(i: int, j: int) -> Polynomial:
+    def a_rule(i: int, j: int):
         if i == 0 and j == 0:
-            return Polynomial.of_int(2)
+            return one + one
         if i == 0:
-            return lam * _a(0, j)
+            return lam * a(0, j)
         if j == 0 or (i + j) % 2 == 0:
-            return _a(i, j)
+            return a(i, j)
         return b_rule(i, j)
 
+    return a_rule, b_rule, a
+
+
+def build_thm1(n: int) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
+    """The (n+1)x(n+1) matrix A (labels 0..n) and the n x n matrices B, C
+    (labels 1..n) of thm1_rules over the polynomial ring, satisfying
+    det A - (-1)^n det B - det C = 0."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    a_rule, b_rule, c_rule = thm1_rules(Polynomial.of_var(LAMBDA), _a, Polynomial.of_int(1))
     inner = range(1, n + 1)
-    a_mat = PolyMatrix.build(range(n + 1), range(n + 1), a_rule)
-    b_mat = PolyMatrix.build(inner, inner, b_rule)
-    c_mat = PolyMatrix.build(inner, inner, lambda i, j: _a(i, j))
-    return a_mat, b_mat, c_mat
+    return (
+        PolyMatrix.build(range(n + 1), range(n + 1), a_rule),
+        PolyMatrix.build(inner, inner, b_rule),
+        PolyMatrix.build(inner, inner, c_rule),
+    )
 
 
 def build_thm3(n: int) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:

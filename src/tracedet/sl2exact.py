@@ -12,15 +12,13 @@ or as the two sides of the trace relation.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .exactpoly import LAMBDA, Plan, entry, evaluate_plan
-from .identbuild import build_thm1
+from .identbuild import thm1_rules
 from .symmat import NonSquareError
 
 
@@ -119,7 +117,7 @@ _new = tuple.__new__
 class GaussianInt(NamedTuple):
     """Exact Gaussian integer re + im*i.  It is a pair of ints, so the
     elimination loops unpack it directly; the ring operators are what
-    evaluate_plan needs to evaluate thm1 over Z[i]."""
+    thm1_rules need to run over Z[i]."""
 
     re: int = 0
     im: int = 0
@@ -361,45 +359,26 @@ def build_magnus_matrices(
     a[0,j] = tr M_j and a[i,j] = tr(m_i M_j^-1), by
     tr(mM) = tr m tr M - tr(mM^-1).  The samples must pair up.
 
-    With m_i = N_i/d_i and M_j = N'_j/D_j (N over Z[i]), every monomial of
-    entry (i, j) has degree one in row i's sample and one in column j's (the
-    border I has scale 1), so thm1 is evaluated over Z[i] at the traces of
-    N_i, N'_j and N_i adj N'_j, and the scales are d_i and D_j.
+    With m_i = N_i/d_i and M_j = N'_j/D_j (N over Z[i]), thm1_rules scale
+    per row and column, so they run over Z[i] at the traces of N_i, N'_j
+    and N_i adj N'_j, and the scales are d_i and D_j (1 on the border).
     """
     if len(ms) != len(big_ms):
         raise LengthMismatchError(f"{len(ms)} m's vs {len(big_ms)} M's")
     cross = trace_matrix(ms, big_ms, invert_right=True)
-    # The value grid of _magnus_plan, row by row: lambda = 1 and
-    # a[0,j] = tr N'_j, then a[i,0] = tr N_i and a[i,j] = tr(N_i adj N'_j).
-    values = [ZI_ONE]
-    values.extend(y.num[0] + y.num[3] for y in big_ms)
-    for x, row in zip(ms, cross.num):
-        values.append(x.num[0] + x.num[3])
-        values.extend(row)
+    tr_m = [x.num[0] + x.num[3] for x in ms]
+    tr_big = [y.num[0] + y.num[3] for y in big_ms]
 
-    def at_point(plans: list[list[Plan]]) -> list[list[GaussianInt]]:
-        return [[evaluate_plan(p, values, ZI_ONE) for p in row] for row in plans]
+    def a(i: int, j: int) -> GaussianInt:
+        return cross.num[i - 1][j - 1] if i and j else tr_m[i - 1] if i else tr_big[j - 1]
 
-    a_plans, neg_b_plans, c_plans = _magnus_plan(len(ms))
+    a_rule, b_rule, c_rule = thm1_rules(ZI_ONE, a, ZI_ONE)
+    outer, inner = range(len(ms) + 1), range(1, len(ms) + 1)
+    rows, cols = cross.row_den, cross.col_den
     return (
-        ScaledMatrix(at_point(a_plans), [1, *cross.row_den], [1, *cross.col_den]),
-        ScaledMatrix(at_point(neg_b_plans), cross.row_den, cross.col_den),
-        ScaledMatrix(at_point(c_plans), cross.row_den, cross.col_den),
-    )
-
-
-@functools.cache
-def _magnus_plan(n: int) -> tuple[list[list[Plan]], ...]:
-    """build_thm1(n)'s A, -B and C, each entry compiled once for
-    evaluate_plan.  The slots index an (n+1)x(n+1) value grid read row by
-    row: a[i,j] is slot i*(n+1) + j, and lambda takes slot 0, since a[0,0]
-    occurs in no entry.  Only the plans are kept, not the matrices."""
-    slots = {entry(i, j): i * (n + 1) + j for i in range(n + 1) for j in range(n + 1) if i or j}
-    slots[LAMBDA] = 0
-    a_mat, b_mat, c_mat = build_thm1(n)
-    return tuple(
-        [[(sign * m.entry(r, c)).plan(slots) for c in m.col_labels] for r in m.row_labels]
-        for m, sign in ((a_mat, 1), (b_mat, -1), (c_mat, 1))
+        ScaledMatrix([[a_rule(i, j) for j in outer] for i in outer], [1, *rows], [1, *cols]),
+        ScaledMatrix([[-b_rule(i, j) for j in inner] for i in inner], rows, cols),
+        ScaledMatrix([[c_rule(i, j) for j in inner] for i in inner], rows, cols),
     )
 
 

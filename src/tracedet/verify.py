@@ -96,9 +96,9 @@ IDENTITIES: dict[str, Identity] = {
     "cor5": Identity(tuple(range(2, 7)), low=1, high=DET_DP_SIZE_BOUND),
     "cor6": Identity((2, 4, 6), low=2, high=DET_DP_SIZE_BOUND, even=True),
     "thm7": Identity((2, 4, 6), low=2, high=DET_DP_SIZE_BOUND, even=True),
-    # One magnus trial took 9-13 ms at n = 24 (thm1's matrices evaluated at
-    # a trace point and three exact determinants); the first, which
-    # compiles the trace-point plan, about 70 ms.
+    # One magnus trial took 10-13 ms (sl2z) and 11-21 ms (gaussian) at
+    # n = 24, the first one included: thm1's rules run at a trace point and
+    # three exact determinants.
     "magnus": Identity(tuple(range(1, 7)), low=1, high=24, variants=GENERATORS, trials=100),
     "magnus-original": Identity((), low=4, high=4, trials=100),
     # The sweep starts where det D = 0 is asserted.  One random-sign trial

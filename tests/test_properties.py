@@ -1,7 +1,7 @@
 """Property tests (Hypothesis) for the polynomial ring and its packed
 monomials, the two determinant engines, the Gaussian-rational field, the
-Gaussian integers and the fraction-free elimination.  Examples are
-derandomized so every run checks the same cases."""
+Gaussian integers, thm1's entry rules and the fraction-free elimination.
+Examples are derandomized so every run checks the same cases."""
 
 import itertools
 import math
@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tracedet.exactpoly import BETA, LAMBDA, Polynomial, _add_product, _var_id, entry
+from tracedet.identbuild import thm1_rules
 import elimination_reference as ref
 import poly_reference as pref
 from tracedet.sl2exact import (
@@ -23,6 +24,7 @@ from tracedet.sl2exact import (
     InexactDivisionError,
     Mat2,
     SingularError,
+    ZI_ONE,
     _divexact,
     exact_det,
     left_kernel,
@@ -276,6 +278,25 @@ def test_mat2_over_takes_int_pairs(seed, k):
         built = Mat2.over([(re * k, im * k) for re, im in m.num], m.den * k)
         assert all(type(z) is GaussianInt for z in built.num)
         assert built == m and mat2_to_json(built) == mat2_to_json(m)
+
+
+@PROPERTY
+@given(st.integers(0, 5), zis, st.data())
+def test_thm1_rules_scale_per_row_and_column(n, lam, data):
+    # What makes ScaledMatrix(num, d_i, D_j) in build_magnus_matrices valid:
+    # with s_0 = t_0 = 1, scaling a[i,0] by s_i, a[0,j] by t_j and a[i,j] by
+    # s_i*t_j scales every entry (i, j) of A, B and C by s_i*t_j.  a[0,0]
+    # occurs in no entry, so the tables hold no value for it.
+    scales = st.lists(st.integers(1, 50), min_size=n, max_size=n)
+    s, t = [1, *data.draw(scales)], [1, *data.draw(scales)]
+    cells = [(i, j) for i in range(n + 1) for j in range(n + 1) if i or j]
+    values = dict(zip(cells, data.draw(st.lists(zis, min_size=len(cells), max_size=len(cells)))))
+    scaled = {(i, j): x * (s[i] * t[j]) for (i, j), x in values.items()}
+    rules = thm1_rules(lam, lambda i, j: values[i, j], ZI_ONE)
+    scaled_rules = thm1_rules(lam, lambda i, j: scaled[i, j], ZI_ONE)
+    for rule, scaled_rule, first in zip(rules, scaled_rules, (0, 1, 1)):
+        for i, j in itertools.product(range(first, n + 1), repeat=2):
+            assert scaled_rule(i, j) == rule(i, j) * (s[i] * t[j])
 
 
 @PROPERTY

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import sl2_reference as ref
-from tracedet.exactpoly import LAMBDA, entry, evaluate_plan
-from tracedet.identbuild import build_thm1
+from tracedet.exactpoly import LAMBDA, entry
+from tracedet.identbuild import build_thm1, thm1_rules
 from tracedet.sl2exact import (
     DEFAULT_WORD_LEN,
     GEN_S,
@@ -28,7 +28,6 @@ from tracedet.sl2exact import (
     ScaledMatrix,
     SingularError,
     ZI_ONE,
-    _magnus_plan,
     build_magnus_matrices,
     build_thm2_D,
     exact_det,
@@ -270,23 +269,23 @@ def test_magnus_n1_regression_T_S():
     assert det_a == det_b + det_c
 
 
-@pytest.mark.parametrize("n", range(7))
-def test_magnus_plan_matches_polymatrix_evaluate(n):
-    # build_magnus_matrices runs the compiled plan on a grid of values; at a
-    # random Z[i] point it must give PolyMatrix.evaluate's A, -B and C.
+@pytest.mark.parametrize("n", range(8))
+def test_thm1_rules_over_zi_match_polymatrix_evaluate(n):
+    # build_magnus_matrices runs thm1_rules over Z[i]; at a random point with
+    # lambda != 1 they must give build_thm1's A, B and C under
+    # PolyMatrix.evaluate.
     rng = random.Random(300 + n)
-    width = n + 1
-    values = [GaussianInt(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(width * width)]
-    point = {entry(i, j): values[i * width + j] for i in range(width) for j in range(width) if i or j}
-    point[LAMBDA] = values[0]
-    a_mat, b_mat, c_mat = build_thm1(n)
-    expected = (
-        a_mat.evaluate(point, ZI_ONE),
-        [[-x for x in row] for row in b_mat.evaluate(point, ZI_ONE)],
-        c_mat.evaluate(point, ZI_ONE),
-    )
-    for plans, rows in zip(_magnus_plan(n), expected):
-        assert [[evaluate_plan(p, values, ZI_ONE) for p in row] for row in plans] == rows
+
+    def zi():
+        return GaussianInt(rng.randint(-9, 9), rng.randint(-9, 9))
+
+    point = {entry(i, j): zi() for i in range(n + 1) for j in range(n + 1) if i or j}
+    lam = GaussianInt(rng.randint(2, 9), rng.randint(-9, 9))
+    point[LAMBDA] = lam
+    rules = thm1_rules(lam, lambda i, j: point[entry(i, j)], ZI_ONE)
+    for rule, m in zip(rules, build_thm1(n)):
+        rows = [[rule(r, c) for c in m.col_labels] for r in m.row_labels]
+        assert rows == m.evaluate(point, ZI_ONE)
 
 
 def test_magnus_matrices_errors():
