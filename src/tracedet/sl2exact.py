@@ -259,46 +259,38 @@ def trace_relation_check(m: Mat2, big_m: Mat2) -> tuple[GaussianRational, Gaussi
     return _gr_over(*lhs, m.den * norm), _gr_over(*rhs, m.den * big_d)
 
 
-def _resolve_rng(rng: random.Random | int) -> random.Random:
-    if isinstance(rng, random.Random):
-        return rng
-    return random.Random(rng)
-
-
-def random_sl2z(word_len: int, rng: random.Random | int) -> Mat2:
-    """Product of word_len uniform factors from {S, S^-1, T, T^-1}; always
-    determinant 1 with integer entries, reproducible for a fixed seed.  The
-    word is multiplied out over plain ints."""
-    gen = _resolve_rng(rng)
+def random_sl2z(word_len: int, rng: random.Random) -> Mat2:
+    """Product of word_len uniform factors from {S, S^-1, T, T^-1}, drawn
+    from ``rng`` with one choice() each; always determinant 1 with integer
+    entries.  The word is multiplied out over plain ints."""
     a, b, c, d = 1, 0, 0, 1
     for _ in range(word_len):
-        p, q, r, s = gen.choice(_SL2Z_LETTERS)
+        p, q, r, s = rng.choice(_SL2Z_LETTERS)
         a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
     return Mat2.over(((a, 0), (b, 0), (c, 0), (d, 0)), 1)
 
 
-def _random_gaussian(gen: random.Random) -> tuple[int, int, int]:
+def _random_gaussian(rng: random.Random) -> tuple[int, int, int]:
     """x/p, with re and im each u/v for |u| <= HEIGHT_BOUND and
     1 <= v <= HEIGHT_BOUND: x's re and im over Z, and p the product of the
     two v's."""
-    re, re_den = gen.randint(-HEIGHT_BOUND, HEIGHT_BOUND), gen.randint(1, HEIGHT_BOUND)
-    im, im_den = gen.randint(-HEIGHT_BOUND, HEIGHT_BOUND), gen.randint(1, HEIGHT_BOUND)
+    re, re_den = rng.randint(-HEIGHT_BOUND, HEIGHT_BOUND), rng.randint(1, HEIGHT_BOUND)
+    im, im_den = rng.randint(-HEIGHT_BOUND, HEIGHT_BOUND), rng.randint(1, HEIGHT_BOUND)
     return re * im_den, im * re_den, re_den * im_den
 
 
-def random_sl2_gaussian(rng: random.Random | int) -> Mat2:
+def random_sl2_gaussian(rng: random.Random) -> Mat2:
     """Determinant-1 matrix with genuinely complex entries: a = x/p, b = y/q
-    and c = z/r are random Gaussian rationals of height HEIGHT_BOUND (a
-    resampled until nonzero) and d = (1 + b*c)/a = (qr + yz) p conj(x) /
-    (qr |x|^2).  Over the common denominator pqr |x|^2 all four entries are
-    Gaussian integers."""
-    gen = _resolve_rng(rng)
+    and c = z/r are random Gaussian rationals of height HEIGHT_BOUND drawn
+    from ``rng`` in that order (a redrawn until nonzero), and d = (1 + b*c)/a
+    = (qr + yz) p conj(x) / (qr |x|^2).  Over the common denominator
+    pqr |x|^2 all four entries are Gaussian integers."""
     while True:
-        xr, xi, p = _random_gaussian(gen)
+        xr, xi, p = _random_gaussian(rng)
         if xr or xi:
             break
-    yr, yi, q = _random_gaussian(gen)
-    zr, zi, r = _random_gaussian(gen)
+    yr, yi, q = _random_gaussian(rng)
+    zr, zi, r = _random_gaussian(rng)
     qr, norm, pp = q * r, xr * xr + xi * xi, p * p
     # u = qr + y*z, and d's numerator is u * conj(x) * p^2.
     ur, ui = qr + yr * zr - yi * zi, yr * zi + yi * zr

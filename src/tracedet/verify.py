@@ -6,9 +6,10 @@ modes it runs, and its default trial count.  A symbolic identity is a list
 of (coefficient, matrix) terms plus an extra polynomial: one checker
 computes the residual sum of c * det M + extra and asserts it is literally
 empty; a failure carries the residual, or both engines' determinants when
-they disagree.  A numeric identity is a check run on seeded cases; a failure's
-witness holds the case tag, the samples m and M, and the check's findings,
-which is enough to reproduce it.
+they disagree.  A numeric identity is a check run on seeded cases, each
+trial drawn from one generator seeded by (identity, seed, n, trial); a
+failure's witness holds the case tag, the samples m and M, and the check's
+findings, which with the report's identity, n and seed reproduce it.
 """
 
 from __future__ import annotations
@@ -150,9 +151,10 @@ class VerificationReport:
         return out
 
 
-def derive_seed(master_seed: int, *indices: int) -> int:
-    """Stable per-trial seed: sha256 of the master seed and trial indices."""
-    tag = f"{master_seed}|" + "|".join(str(i) for i in indices)
+def derive_seed(identity: str, master_seed: int, *indices: int) -> int:
+    """Stable per-trial seed: sha256 of the identity, the master seed and
+    the trial indices."""
+    tag = f"{identity}|{master_seed}|" + "|".join(str(i) for i in indices)
     return int.from_bytes(hashlib.sha256(tag.encode()).digest()[:8], "big")
 
 
@@ -270,24 +272,29 @@ def verify_thm3_family(n: int, which: str = THM3) -> VerificationReport:
     return verify_symbolic(which, n)
 
 
-def _sample_mat(generator: str, seed: int) -> Mat2:
+def _sample_mat(generator: str, rng: random.Random) -> Mat2:
     if generator == SL2Z:
-        return random_sl2z(DEFAULT_WORD_LEN, seed)
+        return random_sl2z(DEFAULT_WORD_LEN, rng)
     if generator == GAUSSIAN:
-        return random_sl2_gaussian(seed)
+        return random_sl2_gaussian(rng)
     raise ValueError(f"unknown generator {generator!r}")
 
 
 def _trials(
-    generator: str, master_seed: int, n: int, trials: int, count: int | None = None
-) -> Iterator[tuple[dict, list[Mat2], list[Mat2]]]:
-    """Trials 0..trials-1 as numeric cases: the tag {"trial": t}, then
-    m_1..m_c and M_1..M_c (c = count, default n) from draws k = 0..2c-1,
-    each seeded by derive_seed(master_seed, n, t, k)."""
+    identity: str, generator: str, master_seed: int, n: int, trials: int,
+    count: int | None = None, signs: bool = False,
+) -> Iterator[tuple]:
+    """Trials 0..trials-1 as numeric cases.  Trial t draws from one
+    generator, random.Random(derive_seed(identity, master_seed, n, t)):
+    m_1..m_c, then M_1..M_c (c = count, default n), then with ``signs`` a
+    sign vector eps_1..eps_n, each entry 1 or -1.  A case is the tag
+    {"trial": t}, the m's and the M's, and with ``signs`` eps."""
     count = n if count is None else count
     for t in range(trials):
-        draws = [_sample_mat(generator, derive_seed(master_seed, n, t, k)) for k in range(2 * count)]
-        yield {"trial": t}, draws[:count], draws[count:]
+        rng = random.Random(derive_seed(identity, master_seed, n, t))
+        draws = [_sample_mat(generator, rng) for _ in range(2 * count)]
+        case = ({"trial": t}, draws[:count], draws[count:])
+        yield case + (tuple(rng.choice((1, -1)) for _ in range(n)),) if signs else case
 
 
 def _gaussians(**values: GaussianRational) -> dict:
@@ -335,7 +342,7 @@ def verify_magnus_numeric(
             return None
         return _gaussians(det_A=det_a, det_B=det_b, det_C=det_c)
 
-    cases = _trials(generator, master_seed, n, trials)
+    cases = _trials("magnus", generator, master_seed, n, trials)
     return _numeric_report("magnus", n, params, started, cases, check)
 
 
@@ -356,7 +363,7 @@ def verify_magnus_original(trials: int, master_seed: int) -> VerificationReport:
     det(tr m_i m_j) * det(tr M_i M_j) = det(tr m_i M_j)^2."""
     started = time.perf_counter()
     params = {"trials": trials, "seed": master_seed}
-    cases = _trials(SL2Z, master_seed, 4, trials)
+    cases = _trials("magnus-original", SL2Z, master_seed, 4, trials)
     return _numeric_report("magnus-original", 4, params, started, cases, _magnus_original_check)
 
 
@@ -383,21 +390,18 @@ def _thm2_check(ms: list[Mat2], big: list[Mat2], eps: tuple[int, ...]) -> dict |
 
 
 def _sign_cases(master_seed: int, n: int, trials: int, eps_mode: str) -> Iterator[tuple]:
-    """thm2's cases: in exhaustive mode all 2^n sign vectors over the one
-    sample of trial 0, in random mode trial t's sample with a sign vector
-    seeded by derive_seed(master_seed, n, t, 2n)."""
+    """thm2's cases: in random mode trial t's sample and the sign vector its
+    generator draws after it, in exhaustive mode all 2^n sign vectors over
+    the one sample of trial 0 (the sample random mode's trial 0 draws)."""
     if eps_mode not in EPS_MODES:
         raise ValueError(f"unknown eps mode {eps_mode!r}")
-    exhaustive = eps_mode == "exhaustive"
-    for tag, ms, big in _trials(SL2Z, master_seed, n, 1 if exhaustive else trials):
-        t = tag["trial"]
-        if exhaustive:
-            signs = ((f"eps={eps}", eps) for eps in itertools.product((1, -1), repeat=n))
-        else:
-            rng = random.Random(derive_seed(master_seed, n, t, 2 * n))
-            signs = [(f"trial={t}", tuple(rng.choice((1, -1)) for _ in range(n)))]
-        for case, eps in signs:
-            yield {"case": case, "eps": list(eps)}, ms, big, eps
+    if eps_mode == "random":
+        for tag, ms, big, eps in _trials("thm2", SL2Z, master_seed, n, trials, signs=True):
+            yield {"case": f"trial={tag['trial']}", "eps": list(eps)}, ms, big, eps
+        return
+    for _, ms, big in _trials("thm2", SL2Z, master_seed, n, 1):
+        for eps in itertools.product((1, -1), repeat=n):
+            yield {"case": f"eps={eps}", "eps": list(eps)}, ms, big, eps
 
 
 def verify_thm2(
@@ -440,5 +444,5 @@ def verify_trace_relation(
         lhs, rhs = trace_relation_check(ms[0], big[0])
         return None if lhs == rhs else _gaussians(lhs=lhs, rhs=rhs)
 
-    cases = _trials(generator, master_seed, 0, trials, count=1)
+    cases = _trials("trace", generator, master_seed, 0, trials, count=1)
     return _numeric_report("trace", None, params, started, cases, check)

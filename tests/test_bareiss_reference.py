@@ -43,7 +43,7 @@ def _assert_agrees(mat):
 @pytest.mark.parametrize("generator", [SL2Z, GAUSSIAN])
 def test_magnus_matrices_agree_up_to_n7(generator):
     for n in range(1, 8):
-        for _, ms, big in _trials(generator, 42, n, 2):
+        for _, ms, big in _trials("magnus", generator, 42, n, 2):
             det_a, det_b, det_c = (_assert_agrees(m) for m in build_magnus_matrices(ms, big))
             assert det_a == det_b + det_c
             assert (n < 4 or not det_a) and (n < 5 or not (det_b or det_c))
@@ -52,7 +52,7 @@ def test_magnus_matrices_agree_up_to_n7(generator):
 @pytest.mark.parametrize("n", [5, 6])
 def test_thm2_D_agrees_under_several_signs(n):
     rng = random.Random(n)
-    for _, ms, big in _trials(SL2Z, 7, n, 2):
+    for _, ms, big in _trials("thm2", SL2Z, 7, n, 2):
         signs = [(1,) * n, (-1,) * n] + [tuple(rng.choice((1, -1)) for _ in range(n)) for _ in range(4)]
         for eps in signs:
             assert not _assert_agrees(build_thm2_D(ms, big, eps))

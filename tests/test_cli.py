@@ -404,16 +404,35 @@ GOLDEN_SAMPLES = Path(__file__).parent / "golden" / "samples_seed42.json"
 def test_samples_match_golden(capsys):
     # verify_all_n6.json pins verdicts only: every report in it passes, so
     # none carries a sample.  This pins what the samplers draw (trial 0 of
-    # _trials(g, 42, 3, 1) for each generator) and the informational
+    # _trials("magnus", g, 42, 3, 1) for each generator) and the informational
     # det_sample of `verify thm2 --n 4 --seed 42`.
     samples = {}
     for gen in (SL2Z, GAUSSIAN):
-        _, ms, big = next(_trials(gen, 42, 3, 1))
+        _, ms, big = next(_trials("magnus", gen, 42, 3, 1))
         samples[gen] = {"m": [mat2_to_json(x) for x in ms], "M": [mat2_to_json(x) for x in big]}
     assert run(["verify", "thm2", "--n", "4", "--seed", "42", "--format", "json"]) == 0
     (report,) = json.loads(capsys.readouterr().out)
     pinned = {"trial0_n3": samples, "thm2_n4_det_sample": report["params"]["det_sample"]}
     assert json.dumps(pinned, indent=2) + "\n" == GOLDEN_SAMPLES.read_text()
+
+
+def test_numeric_cases_pass_at_the_held_out_seed(capsys):
+    # The benchmark's numeric cases at its held-out seed, 10 trials each
+    # (exhaustive mode takes no --trials): every identity must hold on
+    # sample streams nobody tuned against.
+    ten = ["--trials", "10"]
+    for args in (
+        ["magnus", "--generator", "sl2z", "--max-n", "6", *ten],
+        ["magnus", "--generator", "gaussian", "--max-n", "6", *ten],
+        ["magnus-original", *ten],
+        ["thm2", "--max-n", "6", *ten],
+        ["thm2", "--eps", "exhaustive", "--n", "5"],
+        ["trace", "--generator", "sl2z", *ten],
+        ["trace", "--generator", "gaussian", *ten],
+    ):
+        assert run(["verify", *args, "--seed", "20260417", "--format", "json"]) == 0, args
+        reports = json.loads(capsys.readouterr().out)
+        assert reports and all(r["status"] == PASS for r in reports), args
 
 
 def test_all_smoke(capsys):

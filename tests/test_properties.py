@@ -5,6 +5,7 @@ Examples are derandomized so every run checks the same cases."""
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -274,7 +275,7 @@ def test_gaussian_int_ring_axioms(x, y, z, k):
 def test_mat2_over_takes_int_pairs(seed, k):
     # The samplers pass (re, im) int pairs; Mat2.over reduces them and
     # stores GaussianInts, so the sample and its JSON are those of N/d.
-    for m in (random_sl2z(DEFAULT_WORD_LEN, seed), random_sl2_gaussian(seed)):
+    for m in (random_sl2z(DEFAULT_WORD_LEN, random.Random(seed)), random_sl2_gaussian(random.Random(seed))):
         built = Mat2.over([(re * k, im * k) for re, im in m.num], m.den * k)
         assert all(type(z) is GaussianInt for z in built.num)
         assert built == m and mat2_to_json(built) == mat2_to_json(m)

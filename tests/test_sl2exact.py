@@ -127,7 +127,7 @@ def test_integral_form_is_reduced():
     assert (half.num, half.den) == ((ZI_ONE, GaussianInt(), GaussianInt(), GaussianInt(4)), 2)
     # N*k/(d*k) is N/d: it stores the same fields, so it compares and hashes
     # equal to the Mat2 built from the rational entries.
-    for m in (half, GEN_S, random_sl2z(12, 4), random_sl2_gaussian(3)):
+    for m in (half, GEN_S, random_sl2z(12, random.Random(4)), random_sl2_gaussian(random.Random(3))):
         for k in (2, 3, 12):
             scaled = Mat2.over([z * k for z in m.num], m.den * k)
             assert (scaled.num, scaled.den) == (m.num, m.den)
@@ -140,7 +140,7 @@ def test_trace_relation_examples():
     assert lhs == rhs == GR_ONE
     lhs, rhs = trace_relation_check(GEN_T, GEN_S)
     assert lhs == rhs == gr(-1)
-    m = random_sl2z(8, 11)
+    m = random_sl2z(8, random.Random(11))
     lhs, rhs = trace_relation_check(m, I2)
     assert lhs == rhs == m.trace()
 
@@ -198,15 +198,15 @@ def test_trace_relation_random_pairs():
 
 
 def test_random_sl2z_basics():
-    assert random_sl2z(0, 5) == I2
+    assert random_sl2z(0, random.Random(5)) == I2
     for seed in range(10):
-        m = random_sl2z(12, seed)
+        m = random_sl2z(12, random.Random(seed))
         assert m.det() == GR_ONE
         assert ref.matmul(m, ref.inverse(m)) == I2
         assert m.den == 1
         for e in (m.e11, m.e12, m.e21, m.e22):
             assert e.im == 0 and e.re.denominator == 1
-    assert random_sl2z(12, 99) == random_sl2z(12, 99)
+    assert random_sl2z(12, random.Random(99)) == random_sl2z(12, random.Random(99))
 
 
 def test_random_sl2z_matches_mat2_word_product():
@@ -215,11 +215,11 @@ def test_random_sl2z_matches_mat2_word_product():
     # unchanged.
     for seed in range(20):
         for word_len in range(21):
-            assert mat2_to_json(random_sl2z(word_len, seed)) == ref.to_json(ref.sl2z_word(word_len, seed))
+            assert mat2_to_json(random_sl2z(word_len, random.Random(seed))) == ref.to_json(ref.sl2z_word(word_len, seed))
 
 
 @pytest.mark.parametrize("sampler, reference", [
-    pytest.param(lambda seed: random_sl2z(DEFAULT_WORD_LEN, seed),
+    pytest.param(lambda rng: random_sl2z(DEFAULT_WORD_LEN, rng),
                  lambda seed: ref.sl2z_word(DEFAULT_WORD_LEN, seed), id="sl2z"),
     pytest.param(random_sl2_gaussian, ref.sl2_gaussian, id="gaussian"),
 ])
@@ -227,15 +227,15 @@ def test_samplers_match_fraction_reference(sampler, reference):
     # The package draws over Z[i]; the Fraction sampler it replaced must give
     # the same matrix, entry by entry as mat2_to_json writes it, on every seed.
     for seed in range(1000):
-        assert mat2_to_json(sampler(seed)) == ref.to_json(reference(seed)), seed
+        assert mat2_to_json(sampler(random.Random(seed))) == ref.to_json(reference(seed)), seed
 
 
 def test_random_sl2_gaussian_basics():
     for seed in range(10):
-        m = random_sl2_gaussian(seed)
+        m = random_sl2_gaussian(random.Random(seed))
         assert m.det() == GR_ONE
         assert ref.matmul(m, ref.inverse(m)) == I2
-    assert random_sl2_gaussian(7) == random_sl2_gaussian(7)
+    assert random_sl2_gaussian(random.Random(7)) == random_sl2_gaussian(random.Random(7))
 
 
 def test_magnus_matrices_identity_case():
@@ -517,14 +517,14 @@ GOLDEN_DETS = Path(__file__).parent / "golden" / "dets_seed42.json"
 def test_determinants_match_golden():
     # verify_all_n6.json pins verdicts only.  This pins the exact values, as
     # gaussian_to_json writes them (sign and reduced denominators included):
-    # exact_det of magnus A, B, C on trial 0 of _trials(g, 42, n, 1) for
+    # exact_det of magnus A, B, C on trial 0 of _trials("magnus", g, 42, n, 1) for
     # n = 1..3 and both generators, and thm2's det_sample for n = 3, 4.
     from tracedet.verify import GAUSSIAN, SL2Z, _trials, verify_thm2
 
     pinned = {}
     for gen in (SL2Z, GAUSSIAN):
         for n in (1, 2, 3):
-            _, ms, big = next(_trials(gen, 42, n, 1))
+            _, ms, big = next(_trials("magnus", gen, 42, n, 1))
             mats = build_magnus_matrices(ms, big)
             pinned[f"magnus_{gen}_n{n}"] = {
                 name: gaussian_to_json(exact_det(mat)) for name, mat in zip(("det_A", "det_B", "det_C"), mats)

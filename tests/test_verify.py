@@ -1,6 +1,7 @@
 """Reports, determinism, dual-engine residuals, and the mutation hook."""
 
 import json
+import random
 
 import pytest
 
@@ -21,6 +22,7 @@ from tracedet.symmat import OddSizeError
 from tracedet.verify import (
     FAIL,
     PASS,
+    SL2Z,
     derive_seed,
     verify_magnus_numeric,
     verify_magnus_original,
@@ -137,9 +139,10 @@ def test_reports_are_deterministic():
 
 
 def test_derive_seed_stable_and_separated():
-    assert derive_seed(42, 1, 2) == derive_seed(42, 1, 2)
-    assert derive_seed(42, 1, 2) != derive_seed(42, 2, 1)
-    assert derive_seed(42, 1) != derive_seed(43, 1)
+    assert derive_seed("magnus", 42, 1, 2) == derive_seed("magnus", 42, 1, 2)
+    assert derive_seed("magnus", 42, 1, 2) != derive_seed("magnus", 42, 2, 1)
+    assert derive_seed("magnus", 42, 1) != derive_seed("magnus", 43, 1)
+    assert derive_seed("magnus", 42, 1, 2) != derive_seed("thm2", 42, 1, 2)
 
 
 def test_report_json_schema():
@@ -155,9 +158,10 @@ def test_report_json_schema():
 # holds the case tag, the samples m and M, and the findings, when one of the
 # exact routines it relies on is replaced by a wrong one.
 
-def _sl2z_samples(seed, n, t, count):
-    draws = [random_sl2z(DEFAULT_WORD_LEN, derive_seed(seed, n, t, k)) for k in range(2 * count)]
-    return [mat2_to_json(x) for x in draws[:count]], [mat2_to_json(x) for x in draws[count:]]
+def _sl2z_samples(identity, seed, n, count=None):
+    """Trial 0's m and M, as a witness holds them."""
+    _, ms, big = next(verify._trials(identity, SL2Z, seed, n, 1, count))
+    return [mat2_to_json(x) for x in ms], [mat2_to_json(x) for x in big]
 
 
 def _always_one(_rows):
@@ -168,7 +172,7 @@ def test_magnus_fails_on_wrong_determinants(monkeypatch):
     monkeypatch.setattr(verify, "exact_det", _always_one)
     r = verify_magnus_numeric(2, 3, 7)
     assert r.status == FAIL
-    m, big = _sl2z_samples(7, 2, 0, 2)
+    m, big = _sl2z_samples("magnus", 7, 2)
     one = gaussian_to_json(GR_ONE)
     assert r.witness == {"trial": 0, "m": m, "M": big, "det_A": one, "det_B": one, "det_C": one}
 
@@ -178,7 +182,7 @@ def test_magnus_original_fails_on_wrong_determinants(monkeypatch):
     r = verify_magnus_original(3, 7)
     assert r.status == FAIL
     assert r.n == 4
-    m, big = _sl2z_samples(7, 4, 0, 4)
+    m, big = _sl2z_samples("magnus-original", 7, 4)
     assert (r.witness["trial"], r.witness["m"], r.witness["M"]) == (0, m, big)
     assert set(r.witness) == {"trial", "m", "M", "det_cross", "det_cross_inv", "det_mm", "det_MM"}
 
@@ -187,7 +191,7 @@ def test_thm2_fails_on_nonzero_determinant(monkeypatch):
     monkeypatch.setattr(verify, "exact_det", _always_one)
     r = verify_thm2(5, 2, 7)
     assert r.status == FAIL
-    m, big = _sl2z_samples(7, 5, 0, 5)
+    m, big = _sl2z_samples("thm2", 7, 5)
     assert r.witness["case"] == "trial=0"
     assert len(r.witness["eps"]) == 5
     assert (r.witness["m"], r.witness["M"]) == (m, big)
@@ -202,7 +206,7 @@ def test_thm2_fails_without_kernel_vector(monkeypatch, eps_mode, case):
     monkeypatch.setattr(verify, "left_kernel", lambda rows: None)
     r = verify_thm2(5, 2, 7, eps_mode)
     assert r.status == FAIL
-    m, big = _sl2z_samples(7, 5, 0, 5)
+    m, big = _sl2z_samples("thm2", 7, 5)
     assert r.witness["case"] == case
     assert (r.witness["m"], r.witness["M"]) == (m, big)
     assert r.witness["kernel"] == "none found"
@@ -228,11 +232,65 @@ def test_trace_fails_on_unequal_sides(monkeypatch):
     monkeypatch.setattr(verify, "trace_relation_check", lambda m, big: (GR_ONE, GR_ZERO))
     r = verify_trace_relation(3, 7)
     assert r.status == FAIL
-    m, big = _sl2z_samples(7, 0, 0, 1)
+    m, big = _sl2z_samples("trace", 7, 0, count=1)
     assert r.witness == {
         "trial": 0, "m": m, "M": big,
         "lhs": gaussian_to_json(GR_ONE), "rhs": gaussian_to_json(GR_ZERO),
     }
+
+
+@pytest.mark.parametrize("first,second", [
+    pytest.param(lambda: verify_magnus_numeric(4, 1, 42), lambda: verify_magnus_original(1, 42),
+                 id="magnus-n4-vs-magnus-original"),
+    pytest.param(lambda: verify_magnus_numeric(5, 1, 42), lambda: verify_thm2(5, 1, 42),
+                 id="magnus-n5-vs-thm2-n5"),
+])
+def test_distinct_identities_draw_distinct_samples(monkeypatch, first, second):
+    # The seed names the identity, so two targets at the same n and master
+    # seed do not check one identity against the other's samples.
+    monkeypatch.setattr(verify, "exact_det", _always_one)
+    a, b = first(), second()
+    assert a.status == b.status == FAIL
+    assert len(a.witness["m"]) == len(b.witness["m"])
+    assert a.witness["m"][0] != b.witness["m"][0] and a.witness["M"][0] != b.witness["M"][0]
+
+
+def test_thm2_failure_replays_from_its_report(monkeypatch):
+    # A failed case is drawn again from the report alone: its identity, n
+    # and seed and the witness's trial give the one generator that drew
+    # m_1..m_n, M_1..M_n and then eps_1..eps_n.
+    calls = []
+    real = verify.exact_det
+
+    def det_fails_on_third_case(rows):
+        calls.append(rows)
+        return GR_ONE if len(calls) == 3 else real(rows)
+
+    monkeypatch.setattr(verify, "exact_det", det_fails_on_third_case)
+    r = verify_thm2(5, 4, 11)
+    assert r.status == FAIL and r.witness["case"] == "trial=2"
+    t = int(r.witness["case"].removeprefix("trial="))
+    rng = random.Random(derive_seed(r.identity, r.params["seed"], r.n, t))
+    m = [mat2_to_json(random_sl2z(DEFAULT_WORD_LEN, rng)) for _ in range(r.n)]
+    big = [mat2_to_json(random_sl2z(DEFAULT_WORD_LEN, rng)) for _ in range(r.n)]
+    eps = [rng.choice((1, -1)) for _ in range(r.n)]
+    assert (r.witness["m"], r.witness["M"], r.witness["eps"]) == (m, big, eps)
+
+
+@pytest.mark.parametrize("run_check,trials", [
+    pytest.param(lambda: verify_magnus_numeric(3, 4, 42), 4, id="magnus"),
+    pytest.param(lambda: verify_magnus_numeric(3, 4, 42, "gaussian"), 4, id="magnus-gaussian"),
+    pytest.param(lambda: verify_thm2(5, 3, 42), 3, id="thm2"),
+    pytest.param(lambda: verify_thm2(5, 3, 42, "exhaustive"), 1, id="thm2-exhaustive"),
+    pytest.param(lambda: verify_trace_relation(5, 42), 5, id="trace"),
+])
+def test_each_trial_seeds_one_generator(monkeypatch, run_check, trials):
+    seeds = []
+    real = verify.derive_seed
+    monkeypatch.setattr(verify, "derive_seed", lambda *a: seeds.append(a) or real(*a))
+    assert run_check().passed
+    assert len(seeds) == trials
+    assert [a[3] for a in seeds] == list(range(trials))
 
 
 def test_thm2_below_threshold_computes_one_determinant(monkeypatch):
