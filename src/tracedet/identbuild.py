@@ -1,5 +1,7 @@
 """Constructors for the symbolic matrix families behind the determinant
-identities (thm1, thm3) and their specializations (cor5, cor6, thm7).
+identities (thm1, thm3) and their specializations (cor5, cor6, thm7).  Each
+family is stated once as entry rules over any commutative ring, and one
+builder runs either family's rules over the polynomial ring.
 """
 
 from __future__ import annotations
@@ -46,24 +48,55 @@ def thm1_rules(lam, a, one):
     return a_rule, b_rule, a
 
 
+def thm3_rules(lam, beta, a):
+    """thm3's entry rules in any commutative ring, as thm1_rules gives
+    thm1's; a[i,1] with i > 1 is never read.
+
+    A has first row (a[1,1], lambda*a[1,2], ..., lambda*a[1,n]), first
+    column (a[1,1], beta*a[1,2], ..., beta*a[1,n])^t and interior a[i,j];
+    B corrects the cells with i+j even and C those with i+j odd to
+    a[i,j] - lambda*a[1,i]*a[1,j].  Scaling a[1,j] by s_j and a[i,j] by
+    s_i*s_j for i, j >= 2 (s_1 = 1) scales entry (i, j) by s_i*s_j.
+    """
+
+    def a_rule(i: int, j: int):
+        if i == 1 and j > 1:
+            return lam * a(1, j)
+        if j == 1 and i > 1:
+            return beta * a(1, i)
+        return a(i, j)
+
+    def corrected(i: int, j: int, parity: int):
+        if (i + j) % 2 == parity:
+            return a(i, j) - lam * a(1, i) * a(1, j)
+        return a(i, j)
+
+    return a_rule, lambda i, j: corrected(i, j, 0), lambda i, j: corrected(i, j, 1)
+
+
+def _build(rules, first: int, n: int) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
+    # A on labels first..n, B and C on first+1..n.
+    a_rule, b_rule, c_rule = rules
+    outer, inner = range(first, n + 1), range(first + 1, n + 1)
+    return (
+        PolyMatrix.build(outer, outer, a_rule),
+        PolyMatrix.build(inner, inner, b_rule),
+        PolyMatrix.build(inner, inner, c_rule),
+    )
+
+
 def build_thm1(n: int) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
     """The (n+1)x(n+1) matrix A (labels 0..n) and the n x n matrices B, C
     (labels 1..n) of thm1_rules over the polynomial ring, satisfying
     det A - (-1)^n det B - det C = 0."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    a_rule, b_rule, c_rule = thm1_rules(Polynomial.of_var(LAMBDA), _a, Polynomial.of_int(1))
-    inner = range(1, n + 1)
-    return (
-        PolyMatrix.build(range(n + 1), range(n + 1), a_rule),
-        PolyMatrix.build(inner, inner, b_rule),
-        PolyMatrix.build(inner, inner, c_rule),
-    )
+    return _build(thm1_rules(Polynomial.of_var(LAMBDA), _a, Polynomial.of_int(1)), 0, n)
 
 
 def build_thm3(n: int) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
     """The n x n matrix A (labels 1..n) and (n-1)x(n-1) matrices B, C
-    (labels 2..n) satisfying
+    (labels 2..n) of thm3_rules over the polynomial ring, satisfying
     det A - beta*(det B + det C) = (a[1,1] - 2*beta) * det((a[i,j])_{2..n}).
 
     The constraint a[i,1] = beta*a[1,i] is baked into A's first column, so
@@ -72,29 +105,7 @@ def build_thm3(n: int) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    lam = Polynomial.of_var(LAMBDA)
-    beta = Polynomial.of_var(BETA)
-
-    def a_rule(i: int, j: int) -> Polynomial:
-        if i == 1 and j == 1:
-            return _a(1, 1)
-        if i == 1:
-            return lam * _a(1, j)
-        if j == 1:
-            return beta * _a(1, i)
-        return _a(i, j)
-
-    def corrected(i: int, j: int, parity: int) -> Polynomial:
-        # B corrects the cells with i+j even, C those with i+j odd.
-        if (i + j) % 2 == parity:
-            return _a(i, j) - lam * _a(1, i) * _a(1, j)
-        return _a(i, j)
-
-    inner = range(2, n + 1)
-    a_mat = PolyMatrix.build(range(1, n + 1), range(1, n + 1), a_rule)
-    b_mat = PolyMatrix.build(inner, inner, lambda i, j: corrected(i, j, 0))
-    c_mat = PolyMatrix.build(inner, inner, lambda i, j: corrected(i, j, 1))
-    return a_mat, b_mat, c_mat
+    return _build(thm3_rules(Polynomial.of_var(LAMBDA), Polynomial.of_var(BETA), _a), 1, n)
 
 
 def _specialization_map(n: int, kind: str) -> dict[PolyVar, Polynomial | int]:

@@ -1,7 +1,7 @@
 """Property tests (Hypothesis) for the polynomial ring and its packed
 monomials, the two determinant engines, the Gaussian-rational field, the
-Gaussian integers, thm1's entry rules and the fraction-free elimination.
-Examples are derandomized so every run checks the same cases."""
+Gaussian integers, thm1's and thm3's entry rules and the fraction-free
+elimination.  Examples are derandomized so every run checks the same cases."""
 
 import itertools
 import math
@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tracedet.exactpoly import BETA, LAMBDA, Polynomial, _add_product, _var_id, entry
-from tracedet.identbuild import thm1_rules
+from tracedet.identbuild import thm1_rules, thm3_rules
 import elimination_reference as ref
 import poly_reference as pref
 from tracedet.sl2exact import (
@@ -298,6 +298,25 @@ def test_thm1_rules_scale_per_row_and_column(n, lam, data):
     for rule, scaled_rule, first in zip(rules, scaled_rules, (0, 1, 1)):
         for i, j in itertools.product(range(first, n + 1), repeat=2):
             assert scaled_rule(i, j) == rule(i, j) * (s[i] * t[j])
+
+
+@PROPERTY
+@given(st.integers(1, 6), zis, zis, st.data())
+def test_thm3_rules_scale_per_row_and_column(n, lam, beta, data):
+    # thm3's first column reads a[1,i], so rows and columns share one scale:
+    # with s_1 = 1, scaling a[1,j] by s_j and a[i,j] by s_i*s_j (i, j >= 2)
+    # scales every entry (i, j) of A, B and C by s_i*s_j; a trace point
+    # needs this with s_k = 1/d_k.  a[i,1] with i > 1 is never read, so the
+    # tables hold no value for it.
+    s = [0, 1, *data.draw(st.lists(st.integers(1, 50), min_size=n - 1, max_size=n - 1))]
+    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i == 1 or j > 1]
+    values = dict(zip(cells, data.draw(st.lists(zis, min_size=len(cells), max_size=len(cells)))))
+    scaled = {(i, j): x * (s[i] * s[j]) for (i, j), x in values.items()}
+    rules = thm3_rules(lam, beta, lambda i, j: values[i, j])
+    scaled_rules = thm3_rules(lam, beta, lambda i, j: scaled[i, j])
+    for rule, scaled_rule, first in zip(rules, scaled_rules, (1, 2, 2)):
+        for i, j in itertools.product(range(first, n + 1), repeat=2):
+            assert scaled_rule(i, j) == rule(i, j) * (s[i] * s[j])
 
 
 @PROPERTY

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import sl2_reference as ref
-from tracedet.exactpoly import LAMBDA, entry
-from tracedet.identbuild import build_thm1, thm1_rules
+from tracedet.exactpoly import BETA, LAMBDA, entry
+from tracedet.identbuild import build_thm1, build_thm3, thm1_rules, thm3_rules
 from tracedet.sl2exact import (
     DEFAULT_WORD_LEN,
     GEN_S,
@@ -284,6 +284,24 @@ def test_thm1_rules_over_zi_match_polymatrix_evaluate(n):
     point[LAMBDA] = lam
     rules = thm1_rules(lam, lambda i, j: point[entry(i, j)], ZI_ONE)
     for rule, m in zip(rules, build_thm1(n)):
+        rows = [[rule(r, c) for c in m.col_labels] for r in m.row_labels]
+        assert rows == m.evaluate(point, ZI_ONE)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_thm3_rules_over_zi_match_polymatrix_evaluate(n):
+    # thm3_rules run over Z[i] at a random point with lambda, beta not in
+    # {0, 1} must give build_thm3's A, B and C under PolyMatrix.evaluate.
+    rng = random.Random(400 + n)
+
+    def zi(low=-9):
+        return GaussianInt(rng.randint(low, 9), rng.randint(-9, 9))
+
+    point = {entry(i, j): zi() for i in range(1, n + 1) for j in range(1, n + 1)}
+    lam, beta = zi(2), zi(2)
+    point[LAMBDA], point[BETA] = lam, beta
+    rules = thm3_rules(lam, beta, lambda i, j: point[entry(i, j)])
+    for rule, m in zip(rules, build_thm3(n)):
         rows = [[rule(r, c) for c in m.col_labels] for r in m.row_labels]
         assert rows == m.evaluate(point, ZI_ONE)
 

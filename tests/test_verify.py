@@ -26,6 +26,7 @@ from tracedet.verify import (
     derive_seed,
     verify_magnus_numeric,
     verify_magnus_original,
+    verify_symbolic,
     verify_thm1,
     verify_thm2,
     verify_thm3_family,
@@ -158,9 +159,9 @@ def test_report_json_schema():
 # holds the case tag, the samples m and M, and the findings, when one of the
 # exact routines it relies on is replaced by a wrong one.
 
-def _sl2z_samples(identity, seed, n, count=None):
+def _sl2z_samples(identity, seed, n):
     """Trial 0's m and M, as a witness holds them."""
-    _, ms, big = next(verify._trials(identity, SL2Z, seed, n, 1, count))
+    _, ms, big = next(verify._trials(identity, SL2Z, seed, n, 1))
     return [mat2_to_json(x) for x in ms], [mat2_to_json(x) for x in big]
 
 
@@ -232,7 +233,7 @@ def test_trace_fails_on_unequal_sides(monkeypatch):
     monkeypatch.setattr(verify, "trace_relation_check", lambda m, big: (GR_ONE, GR_ZERO))
     r = verify_trace_relation(3, 7)
     assert r.status == FAIL
-    m, big = _sl2z_samples("trace", 7, 0, count=1)
+    m, big = _sl2z_samples("trace", 7, 1)
     assert r.witness == {
         "trial": 0, "m": m, "M": big,
         "lhs": gaussian_to_json(GR_ONE), "rhs": gaussian_to_json(GR_ZERO),
@@ -340,7 +341,44 @@ def test_engine_mismatch_is_reported(monkeypatch):
     assert r.witness["engine_mismatch"]["det_perm_oracle"] == "7"
 
 
-def test_thm1_above_the_oracle_bound_runs_det_dp_alone():
+@pytest.mark.parametrize("identity,n,k", [("thm1", 2, 1), ("thm1", 2, 2), ("thm3", 3, 3)],
+                         ids=["thm1-B", "thm1-C", "thm3-inner-minor"])
+def test_engine_mismatch_names_the_first_disagreeing_matrix(monkeypatch, identity, n, k):
+    # The oracle disagrees on its k-th call only (0-based), so the witness
+    # must name matrix k, carry both engines' texts of it, and stop there.
+    real = verify.det_perm_oracle
+    seen = []
+
+    def oracle_wrong_on_call_k(m):
+        seen.append(m)
+        return real(m) + 1 if len(seen) == k + 1 else real(m)
+
+    monkeypatch.setattr(verify, "det_perm_oracle", oracle_wrong_on_call_k)
+    r = verify_symbolic(identity, n)
+    assert r.status == FAIL and r.residual is None
+    det = real(seen[k])
+    assert r.witness["engine_mismatch"] == {
+        "matrix_index": k, "det_dp": det.to_text(), "det_perm_oracle": (det + 1).to_text(),
+    }
+    assert len(seen) == k + 1
+
+
+def test_symbolic_check_sums_the_residual_after_every_determinant(monkeypatch):
+    # One pass: det_dp of every matrix, then the oracle of each, and only
+    # then the residual (see verify_symbolic for why the sum comes last).
+    events = []
+    for name, tag in (("det_dp", "dp"), ("det_perm_oracle", "perm"), ("_add_product", "sum")):
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *a, real=real, tag=tag: events.append(tag) or real(*a))
+    assert verify_symbolic("thm3", 3).passed
+    assert events == ["dp"] * 4 + ["perm"] * 4 + ["sum"] * 4
+
+
+def test_thm1_above_the_oracle_bound_runs_det_dp_alone(monkeypatch):
+    def no_oracle(m):
+        raise AssertionError("det_perm_oracle called above its bound")
+
+    monkeypatch.setattr(verify, "det_perm_oracle", no_oracle)
     r = verify_thm1(7)
     assert r.status == PASS
     assert r.params["engines"] == "dp"
