@@ -13,9 +13,8 @@ degree and field k the exponent of the variable with id k - 1.  If lambda
 has id 0 and a[1,0] id 5, lambda^2*a[1,0] is 3 + (2 << 8) + (1 << 48).
 Multiplying two monomials is then one int addition, and hashing one is an
 int hash.  The int is as wide as its largest id needs, W bits per field,
-so it grows with the number of interned variables: thm1 at n = 7 has 64
-variables, 65 fields with the degree (520 bits), and a symbolic sweep that
-also runs thm3 interns beta too, for 66 fields.
+so it grows with the number of interned variables: 520 bits for thm1's 64
+at n = 7.
 
 No field may carry into the next.  An exponent never exceeds the total
 degree, so it is enough that no total degree passes 2^W - 1 = 255.  Each
@@ -29,6 +28,11 @@ Ids follow first use, not the variable order, so everything that leaves this
 module (``terms``, ``variables``, ``to_text``) is decoded back to PolyVar and
 ordered by variable; no result depends on the order in which ids were handed
 out.
+
+A symbolic check packs its own monomials (_local_packing): field 0 is still
+the W-bit total degree, then each variable it uses gets a field only as wide
+as its exponent bound, 89 bits in all for thm1 at n = 7.  Such a Polynomial
+is never read as text or terms and never leaves verify_symbolic.
 
 ``evaluate`` and ``substitute`` share one walk over the terms: each variable
 is decoded and looked up once, then every term is the product of its
@@ -91,7 +95,8 @@ _MASK = (1 << W) - 1
 
 
 class MonomialOverflowError(ArithmeticError):
-    """A total degree above 2^W - 1, which a packed monomial cannot hold."""
+    """A total degree above 2^W - 1, which a packed monomial cannot hold, or
+    an exponent wider than its field in a local packing."""
 
 
 # The variable intern table, shared by the whole process.  It only grows and
@@ -433,6 +438,38 @@ def _add_product(acc: Polynomial, sign: int, e: Polynomial, f: Polynomial) -> No
                 # c1*c2 != 0, so a zero sum means mono was already present.
                 del out[mono]
     acc._deg = max(acc._deg, deg) if out else 0
+
+
+def _local_packing(bounds: Mapping[PolyVar, int]):
+    """(encode, decode) between the global packing and a local one: the W-bit
+    total degree, then a max(1, bound.bit_length())-bit field per variable of
+    ``bounds``.  Products must keep every exponent within its bound; encode
+    raises MonomialOverflowError on an exponent its field cannot hold."""
+    fields = {}  # variable id -> (local shift, field mask)
+    shift = W
+    for v, bound in bounds.items():
+        width = max(1, bound.bit_length())
+        fields[_var_id(v)] = (shift, (1 << width) - 1)
+        shift += width
+
+    def encode_mono(mono: int) -> int:
+        out = mono & _MASK
+        for vid, e in _exponents(mono):
+            lshift, mask = fields.get(vid, (0, 0))
+            if e > mask:
+                raise MonomialOverflowError(f"exponent {e} of {_VARS[vid]!r} exceeds its local field")
+            out += e << lshift
+        return out
+
+    def decode_mono(mono: int) -> int:
+        return (mono & _MASK) + sum(
+            ((mono >> lshift) & mask) << (vid + 1) * W for vid, (lshift, mask) in fields.items())
+
+    # Both maps are injective on monomials within the bounds, so no terms merge.
+    def recode(mono_map):
+        return lambda p: Polynomial._wrap({mono_map(m): c for m, c in p._terms.items()}, p._deg)
+
+    return recode(encode_mono), recode(decode_mono)
 
 
 def _coerce(value) -> Polynomial:

@@ -185,7 +185,8 @@ def det_dp(m: PolyMatrix) -> Polynomial:
 
     Built layer by layer: layer k maps the column mask of each k x k minor
     on the first k rows of the expansion order to its value and needs only
-    layer k-1, so at most two layers are alive at once.  The order puts the
+    layer k-1, whose minors are freed as they are read for the last time,
+    so at most two layers are alive at once.  The order puts the
     rows with the fewest terms in total first, so every memoized minor is
     built from the sparsest rows; rows with equal counts go bottom-up, and a
     matrix whose rows all tie is expanded from its last row to its first.
@@ -204,6 +205,7 @@ def det_dp(m: PolyMatrix) -> Polynomial:
     for mask in range(1 << n):
         masks_by_size[bin(mask).count("1")].append(mask)
     # The last layer expands rows order[n-1], ..., order[0] from the top.
+    full = (1 << n) - 1
     layer: dict[int, Polynomial] = {0: Polynomial.of_int(perm_sign(order[::-1]))}
     for k in range(1, n + 1):
         row = grid[order[k - 1]]
@@ -215,10 +217,13 @@ def det_dp(m: PolyMatrix) -> Polynomial:
             for pos in range(n):
                 bit = 1 << pos
                 if mask & bit:
-                    _add_product(total, sign, row[pos], below[mask & ~bit])
+                    # Masks ascend, so the last to read the minor on
+                    # mask & ~bit is the one holding every higher column.
+                    minor = below.pop(mask & ~bit) if mask | (bit - 1) == full else below[mask & ~bit]
+                    _add_product(total, sign, row[pos], minor)
                     sign = -sign
             layer[mask] = total
-    return layer[(1 << n) - 1]
+    return layer[full]
 
 
 def _perm_walk(

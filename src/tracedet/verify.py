@@ -6,12 +6,13 @@ modes it runs, and its default trial count.  A symbolic identity is a list
 of (coefficient, matrix) terms plus an extra polynomial, checked in one
 pass: det_dp of every matrix, then, when all are within the oracle's bound,
 det_perm_oracle of each in turn, and last the residual sum of c * det M +
-extra, which must be literally empty.  A failure carries the residual, or
-both engines' determinants of the first matrix they disagree on.  A numeric
-identity is a check run on seeded cases, each trial drawn from one
-generator seeded by (identity, seed, n, trial); a failure's witness holds
-the case tag, the samples m and M, and the check's findings, which with the
-report's identity, n and seed reproduce it.
+extra, which must be literally empty, all in a monomial packing local to
+the identity (see _exponent_bounds).  A failure carries the residual, or
+both engines' determinants of the first matrix they disagree on, decoded to
+the global packing.  A numeric identity is a check run on seeded cases,
+each trial drawn from one generator seeded by (identity, seed, n, trial); a
+failure's witness holds the case tag, the samples m and M, and the check's
+findings, which with the report's identity, n and seed reproduce it.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ import hashlib
 import itertools
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .exactpoly import BETA, LAMBDA, Polynomial, _add_product, _coerce, entry
+from .exactpoly import BETA, LAMBDA, Polynomial, _add_product, _coerce, _local_packing, entry
 from .identbuild import (
     COR5,
     COR6,
@@ -210,6 +212,25 @@ def _terms(
     return [(1, c_mat.substitute({LAMBDA: 1}))], 2 * pf_even * pf_odd
 
 
+def _exponent_bounds(terms: list[tuple[int | Polynomial, PolyMatrix]], extra) -> Counter:
+    """Per variable, the largest exponent det_dp, det_perm_oracle or the
+    residual sum can form.  Each such monomial is one of extra's, or one term
+    of a coefficient c times at most one term per row of c's matrix, so the
+    bound is the max of that over extra and the terms."""
+
+    def most(polys) -> Counter:
+        out = Counter()
+        for p in polys:
+            out |= Counter({v: p.degree_in_var(v) for v in p.variables()})
+        return out
+
+    bounds = most([_coerce(extra)])
+    for coeff, m in terms:
+        rows = (most(m.entry(r, c) for c in m.col_labels) for r in m.row_labels)
+        bounds |= sum(rows, most([_coerce(coeff)]))
+    return bounds
+
+
 def verify_symbolic(identity: str, n: int, corrupt_sign: bool = False) -> VerificationReport:
     """Residual check of a symbolic identity at n: sum(c * det M) + extra
     over its terms (see _terms) is computed and must be literally empty.
@@ -228,23 +249,25 @@ def verify_symbolic(identity: str, n: int, corrupt_sign: bool = False) -> Verifi
         coeff, b_mat = terms[1]
         terms[1] = (coeff, b_mat.with_entry(1, 1, -b_mat.entry(1, 1)))
         params["corrupt_sign"] = True
-    matrices = [m for _, m in terms]
+    encode, decode = _local_packing(_exponent_bounds(terms, extra))
+    matrices = [PolyMatrix.build(m.row_labels, m.col_labels, lambda r, c, m=m: encode(m.entry(r, c)))
+                for _, m in terms]
     dets = [det_dp(m) for m in matrices]
     dual = all(m.size <= DET_PERM_SIZE_BOUND for m in matrices)
     params["engines"] = "dp+perm" if dual else "dp"
     for idx, m in enumerate(matrices if dual else ()):
         oracle = det_perm_oracle(m)
         if oracle != dets[idx]:
-            mismatch = {"matrix_index": idx, "det_dp": dets[idx].to_text(),
-                        "det_perm_oracle": oracle.to_text()}
+            mismatch = {"matrix_index": idx, "det_dp": decode(dets[idx]).to_text(),
+                        "det_perm_oracle": decode(oracle).to_text()}
             return _finish(identity, n, params, started, False, witness={"engine_mismatch": mismatch})
     # The residual is summed only after every determinant exists: summing each
     # in as it is computed keeps the residual alive while det_dp works on the
     # next matrix, and raised the symbolic sweep's peak RSS by about 13%.
-    residual = Polynomial.zero() + extra
+    residual = encode(_coerce(extra))
     for (coeff, _), det in zip(terms, dets):
-        _add_product(residual, 1, _coerce(coeff), det)
-    return _finish(identity, n, params, started, residual.is_zero(), residual=residual)
+        _add_product(residual, 1, encode(_coerce(coeff)), det)
+    return _finish(identity, n, params, started, residual.is_zero(), residual=decode(residual))
 
 
 def verify_thm1(n: int, corrupt_sign: bool = False) -> VerificationReport:

@@ -1,7 +1,8 @@
 """Property tests (Hypothesis) for the polynomial ring and its packed
-monomials, the two determinant engines, the Gaussian-rational field, the
-Gaussian integers, thm1's and thm3's entry rules and the fraction-free
-elimination.  Examples are derandomized so every run checks the same cases."""
+monomials, global and local, the two determinant engines, the
+Gaussian-rational field, the Gaussian integers, thm1's and thm3's entry
+rules and the fraction-free elimination.  Examples are derandomized so
+every run checks the same cases."""
 
 import itertools
 import math
@@ -12,7 +13,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tracedet.exactpoly import BETA, LAMBDA, Polynomial, _add_product, _var_id, entry
+from tracedet.exactpoly import (
+    _MASK,
+    BETA,
+    LAMBDA,
+    MonomialOverflowError,
+    Polynomial,
+    _add_product,
+    _local_packing,
+    _var_id,
+    entry,
+)
 from tracedet.identbuild import thm1_rules, thm3_rules
 import elimination_reference as ref
 import poly_reference as pref
@@ -34,6 +45,7 @@ from tracedet.sl2exact import (
     random_sl2z,
 )
 from tracedet.symmat import PolyMatrix, det_dp, det_perm_oracle
+from tracedet.verify import _exponent_bounds
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -213,6 +225,65 @@ def test_engines_agree(m, values):
     # catches an error both engines would share through the arithmetic.
     point = dict(zip(MATRIX_VARS, values))
     assert det.evaluate(point, 1) == leibniz_det(m.evaluate(point, 1))
+
+
+@PROPERTY
+@given(polys, st.lists(st.integers(0, 3), min_size=len(VAR_POOL), max_size=len(VAR_POOL)))
+def test_local_packing_round_trip(p, slack):
+    encode, decode = _local_packing({v: p.degree_in_var(v) + s for v, s in zip(VAR_POOL, slack)})
+    local = encode(p)
+    assert decode(local) == p
+    # Field 0 is the total degree in both packings.
+    assert sorted(m & _MASK for m in local._terms) == sorted(m & _MASK for m in p._terms)
+
+
+@PROPERTY
+@given(st.sampled_from(VAR_POOL), st.integers(0, 9))
+def test_local_packing_refuses_an_exponent_past_its_field(v, bound):
+    encode, decode = _local_packing({v: bound})
+    top = Polynomial.of_var(v) ** ((1 << max(1, bound.bit_length())) - 1)
+    assert decode(encode(top)) == top
+    with pytest.raises(MonomialOverflowError):
+        encode(top * Polynomial.of_var(v))
+    other = next(w for w in VAR_POOL if w != v)
+    with pytest.raises(MonomialOverflowError):
+        encode(Polynomial.of_var(other))
+
+
+@st.composite
+def top_field_matrices(draw):
+    """Generalized permutation matrices of monomials in which each
+    variable's exponents sum over the rows to 2^w - 1 for a drawn w: the
+    determinant is one term, every exponent at the top of its local field."""
+    n = draw(st.integers(1, 5))
+    perm = draw(st.permutations(range(n)))
+    rows = [Polynomial.of_int(draw(st.sampled_from([-2, -1, 1, 2]))) for _ in range(n)]
+    for v in MATRIX_VARS:
+        top = 2 ** draw(st.integers(1, 4)) - 1
+        cuts = sorted(draw(st.lists(st.integers(0, top), min_size=n - 1, max_size=n - 1)))
+        for i, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, top])):
+            rows[i] = rows[i] * Polynomial.of_var(v) ** (hi - lo)
+    return PolyMatrix.build(range(n), range(n), lambda i, j: rows[i] if perm[i] == j else 0)
+
+
+@PROPERTY
+@given(top_field_matrices())
+def test_top_field_matrices_reach_their_bounds(m):
+    bounds = _exponent_bounds([(1, m)], 0)
+    det = det_dp(m)
+    assert bounds and all(det.degree_in_var(v) == b == 2 ** b.bit_length() - 1 for v, b in bounds.items())
+
+
+@PROPERTY
+@given(st.one_of(matrices(), top_field_matrices()))
+def test_local_packing_keeps_both_determinants(m):
+    bounds = _exponent_bounds([(1, m)], 0)
+    encode, decode = _local_packing(bounds)
+    local = PolyMatrix.build(m.row_labels, m.col_labels, lambda r, c: encode(m.entry(r, c)))
+    det = det_dp(m)
+    assert decode(det_dp(local)) == det
+    assert decode(det_perm_oracle(local)) == det_perm_oracle(m)
+    assert all(det.degree_in_var(v) <= b for v, b in bounds.items())
 
 
 rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))

@@ -18,7 +18,7 @@ from tracedet.sl2exact import (
     mat2_to_json,
     random_sl2z,
 )
-from tracedet.symmat import OddSizeError
+from tracedet.symmat import OddSizeError, det_dp
 from tracedet.verify import (
     FAIL,
     PASS,
@@ -71,6 +71,30 @@ def test_verify_thm3_family_passes(which, n):
     r = verify_thm3_family(n, which)
     assert r.status == PASS
     assert r.identity == which
+
+
+@pytest.mark.parametrize("which,engines", [
+    ("thm3", "dp"), ("cor5", "dp"), ("cor6", "dp"), ("thm7", "dp+perm"),
+])
+def test_verify_thm3_family_passes_at_n8(which, engines):
+    # The widest exponent bounds a symbolic check packs; thm7's one matrix
+    # is 7 x 7, within the oracle's bound.
+    r = verify_thm3_family(8, which)
+    assert r.status == PASS
+    assert r.params["engines"] == engines
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_corrupt_sign_residual_matches_the_global_packing_sum(n):
+    terms, _ = verify._terms("thm1", n)
+    coeff, b_mat = terms[1]
+    terms[1] = (coeff, b_mat.with_entry(1, 1, -b_mat.entry(1, 1)))
+    expected = Polynomial.zero()
+    for c, m in terms:
+        expected = expected + c * det_dp(m)
+    r = verify_thm1(n, corrupt_sign=True)
+    assert r.status == FAIL
+    assert r.residual == expected.to_text()
 
 
 def test_verify_thm3_family_odd_skew_rejected():
@@ -346,6 +370,8 @@ def test_engine_mismatch_is_reported(monkeypatch):
 def test_engine_mismatch_names_the_first_disagreeing_matrix(monkeypatch, identity, n, k):
     # The oracle disagrees on its k-th call only (0-based), so the witness
     # must name matrix k, carry both engines' texts of it, and stop there.
+    # The oracle sees matrices in verify_symbolic's local packing, so the
+    # expected texts come from matrix k in the global packing.
     real = verify.det_perm_oracle
     seen = []
 
@@ -356,7 +382,7 @@ def test_engine_mismatch_names_the_first_disagreeing_matrix(monkeypatch, identit
     monkeypatch.setattr(verify, "det_perm_oracle", oracle_wrong_on_call_k)
     r = verify_symbolic(identity, n)
     assert r.status == FAIL and r.residual is None
-    det = real(seen[k])
+    det = real(verify._terms(identity, n)[0][k][1])
     assert r.witness["engine_mismatch"] == {
         "matrix_index": k, "det_dp": det.to_text(), "det_perm_oracle": (det + 1).to_text(),
     }
