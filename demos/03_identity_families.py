@@ -10,7 +10,6 @@ thm7:  in the skew case with lambda = 1, det C factors as -2 Pf_e(A) Pf_o(A).
 """
 
 from tracedet import apply_specialization, build_thm3, pfaffian_split, det_dp
-from tracedet.exactpoly import LAMBDA
 from tracedet.verify import verify_thm1, verify_thm3_family
 
 print("matrix family at n=2 (symbolic beta):")
@@ -32,9 +31,7 @@ for n in (2, 4):
 
 # What thm7 says, spelled out at n=4: C's determinant against the split
 # Pfaffian of the skew-specialized A with lambda = 1.
-spec_a, _, spec_c = (
-    m.substitute({LAMBDA: 1}) for m in apply_specialization(build_thm3(4), "cor6")
-)
+spec_a, _, spec_c = apply_specialization(4, "thm7")
 pf_e, pf_o = pfaffian_split(spec_a)
 print("\nthm7 at n=4, by hand:")
 print("  det C          =", det_dp(spec_c))

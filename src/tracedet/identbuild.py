@@ -1,12 +1,14 @@
 """Constructors for the symbolic matrix families behind the determinant
 identities (thm1, thm3) and their specializations (cor5, cor6, thm7).  Each
 family is stated once as entry rules over any commutative ring, and one
-builder runs either family's rules over the polynomial ring.
+builder runs either family's rules over the polynomial ring.  cor5 and cor6
+are thm3's rules at a point stated once for any ring (_specialized): beta =
++-1 and a[i,j] symmetric or skew; thm7 is cor6 at lambda = 1.
 """
 
 from __future__ import annotations
 
-from .exactpoly import BETA, LAMBDA, Polynomial, PolyVar, entry
+from .exactpoly import BETA, LAMBDA, Polynomial, entry
 from .symmat import PolyMatrix
 
 THM1 = "thm1"
@@ -101,45 +103,42 @@ def build_thm3(n: int) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
 
     The constraint a[i,1] = beta*a[1,i] is baked into A's first column, so
     no variable a[i,1] with i > 1 ever occurs.  beta stays symbolic;
-    apply_specialization substitutes its value for cor5 and cor6.
+    apply_specialization runs the same rules at cor5's and cor6's point.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     return _build(thm3_rules(Polynomial.of_var(LAMBDA), Polynomial.of_var(BETA), _a), 1, n)
 
 
-def _specialization_map(n: int, kind: str) -> dict[PolyVar, Polynomial | int]:
-    # kind -> (beta, diagonal entry, s) with a[i,j] -> s*a[j,i] for i > j:
-    # cor5 is the symmetric sequence with 2 on the diagonal, cor6 the skew one.
-    table = {COR5: (1, 2, 1), COR6: (-1, 0, -1)}
-    if kind not in table:
+def _specialized(kind: str, a, one):
+    """cor5's or cor6's point in any commutative ring: (beta, a') with
+    a'(i, j) = a(i, j) for i < j, s*a(j, i) for i > j and the diagonal
+    value times ``one`` for i = j.  cor5 is the symmetric sequence, (beta,
+    diagonal, s) = (1, 2, 1); cor6 the skew one, (-1, 0, -1)."""
+    if kind not in (COR5, COR6):
         raise ValueError(f"unknown specialization {kind!r}")
-    beta, diagonal, sign = table[kind]
-    mapping: dict[PolyVar, Polynomial | int] = {BETA: beta}
-    for i in range(1, n + 1):
-        mapping[entry(i, i)] = diagonal
-        for j in range(1, i):
-            mapping[entry(i, j)] = sign * _a(j, i)
-    return mapping
+    beta, diagonal, s = (1, 2, 1) if kind == COR5 else (-1, 0, -1)
+
+    def a_spec(i: int, j: int):
+        if i < j:
+            return a(i, j)
+        if i > j:
+            return s * a(j, i)
+        return diagonal * one
+
+    return beta, a_spec
 
 
-def apply_specialization(
-    matrices: tuple[PolyMatrix, PolyMatrix, PolyMatrix], kind: str
-) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
-    """Specialize matrices built by build_thm3 with symbolic beta.
-
-    cor5: beta -> 1, a[i,j] -> a[j,i] for i > j, a[i,i] -> 2.
-    cor6: beta -> -1, a[i,j] -> -a[j,i] for i > j, a[i,i] -> 0.
-    lambda stays symbolic; originals are never mutated.
-    """
-    a_mat, b_mat, c_mat = matrices
-    n = max(a_mat.row_labels)
-    mapping = _specialization_map(n, kind)
-    return (
-        a_mat.substitute(mapping),
-        b_mat.substitute(mapping),
-        c_mat.substitute(mapping),
-    )
+def apply_specialization(n: int, kind: str) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
+    """cor5's, cor6's or thm7's A, B and C at n: thm3_rules at _specialized's
+    point over the polynomial ring, lambda symbolic for cor5 and cor6 and
+    lambda = 1 for thm7, which is cor6 there.  Labels as in build_thm3."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    one = Polynomial.of_int(1)
+    lam = one if kind == THM7 else Polynomial.of_var(LAMBDA)
+    beta, a = _specialized(COR6 if kind == THM7 else kind, _a, one)
+    return _build(thm3_rules(lam, beta, a), 1, n)
 
 
 def build_inner_minor(n: int) -> PolyMatrix:

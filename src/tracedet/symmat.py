@@ -118,13 +118,6 @@ class PolyMatrix:
             )
         return len(self.row_labels)
 
-    def substitute(self, mapping: Mapping[PolyVar, Polynomial | int]) -> "PolyMatrix":
-        return PolyMatrix(
-            self.row_labels,
-            self.col_labels,
-            {rc: p.substitute(mapping) for rc, p in self._entries.items()},
-        )
-
     def evaluate(self, point: Mapping[PolyVar, object], one) -> list[list]:
         """Rows of scalars: Polynomial.evaluate applied to every entry, rows
         and columns in label order."""

@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .exactpoly import BETA, LAMBDA, Polynomial, _add_product, _coerce, _local_packing, entry
+from .exactpoly import BETA, Polynomial, _add_product, _coerce, _local_packing, entry
 from .identbuild import (
     COR5,
     COR6,
@@ -190,26 +190,25 @@ def _terms(
 
     thm1: det A - (-1)^n det B - det C = 0.
     thm3: det A - beta*(det B + det C) - (a[1,1]-2*beta)*det(inner) = 0.
-    cor5: det A - det B - det C = 0 after the symmetric specialization.
-    cor6: det A + det B + det C = 0 after the skew specialization (even n).
-    thm7: det C + 2*Pf_e(A)*Pf_o(A) = 0 in the skew case with lambda = 1.
+    cor5: det A - det B - det C = 0 at the symmetric point.
+    cor6: det A + det B + det C = 0 at the skew point (even n).
+    thm7: det C + 2*Pf_e(A)*Pf_o(A) = 0 at the skew point with lambda = 1.
     """
     if identity == THM1:
         a_mat, b_mat, c_mat = build_thm1(n)
         return [(1, a_mat), (-((-1) ** n), b_mat), (-1, c_mat)], 0
-    matrices = build_thm3(n)
     if identity == THM3:
-        a_mat, b_mat, c_mat = matrices
+        a_mat, b_mat, c_mat = build_thm3(n)
         beta = Polynomial.of_var(BETA)
         a11 = Polynomial.of_var(entry(1, 1))
         inner = build_inner_minor(n)
         return [(1, a_mat), (-beta, b_mat), (-beta, c_mat), (2 * beta - a11, inner)], 0
-    a_mat, b_mat, c_mat = apply_specialization(matrices, COR6 if identity == THM7 else identity)
-    if identity != THM7:
-        sign = -1 if identity == COR5 else 1
-        return [(1, a_mat), (sign, b_mat), (sign, c_mat)], 0
-    pf_even, pf_odd = pfaffian_split(a_mat.substitute({LAMBDA: 1}))
-    return [(1, c_mat.substitute({LAMBDA: 1}))], 2 * pf_even * pf_odd
+    a_mat, b_mat, c_mat = apply_specialization(n, identity)
+    if identity == THM7:
+        pf_even, pf_odd = pfaffian_split(a_mat)
+        return [(1, c_mat)], 2 * pf_even * pf_odd
+    sign = -1 if identity == COR5 else 1
+    return [(1, a_mat), (sign, b_mat), (sign, c_mat)], 0
 
 
 def _exponent_bounds(terms: list[tuple[int | Polynomial, PolyMatrix]], extra) -> Counter:
@@ -238,14 +237,19 @@ def verify_symbolic(identity: str, n: int, corrupt_sign: bool = False) -> Verifi
     ``corrupt_sign`` is the mutation-sensitivity hook: it flips the sign of
     entry (1, 1) of the second matrix, thm1's B, so the verification must
     fail with a nonzero witness.  Only thm1 at n >= 1 has that entry.
+    ValueError for an identity that is not symbolic and for corrupt_sign
+    anywhere else.
     """
     started = time.perf_counter()
+    if identity not in IDENTITIES or IDENTITIES[identity].trials is not None:
+        symbolic = ", ".join(k for k, row in IDENTITIES.items() if row.trials is None)
+        raise ValueError(f"{identity!r} is not a symbolic identity; expected one of {symbolic}")
     check_size(identity, n)
+    if corrupt_sign and (identity != THM1 or n < 1):
+        raise ValueError(f"corrupt_sign needs thm1 at n >= 1, got {identity} at n = {n}")
     terms, extra = _terms(identity, n)
     params: dict = {}
     if corrupt_sign:
-        if n < 1:
-            raise ValueError("mutation hook needs n >= 1")
         coeff, b_mat = terms[1]
         terms[1] = (coeff, b_mat.with_entry(1, 1, -b_mat.entry(1, 1)))
         params["corrupt_sign"] = True

@@ -1,4 +1,5 @@
-"""Every narrative demo runs to completion against the package in src/."""
+"""Every narrative demo runs to completion against the package in src/ and
+prints the stdout pinned in tests/golden/demo_NN.txt, NN its number."""
 
 import os
 import subprocess
@@ -24,3 +25,5 @@ def test_demo_runs(demo):
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+    golden = ROOT / "tests" / "golden" / f"demo_{demo.name[:2]}.txt"
+    assert result.stdout == golden.read_text()

@@ -9,6 +9,7 @@ from tracedet.exactpoly import BETA, LAMBDA, Polynomial, entry
 from tracedet.identbuild import (
     COR5,
     COR6,
+    THM7,
     apply_specialization,
     build_inner_minor,
     build_thm1,
@@ -152,7 +153,7 @@ def test_thm3_no_first_column_variables():
 
 
 def test_cor5_n2():
-    spec_a, spec_b, spec_c = apply_specialization(build_thm3(2), COR5)
+    spec_a, spec_b, spec_c = apply_specialization(2, COR5)
     assert spec_a.entry(1, 1) == Polynomial.of_int(2)
     assert spec_a.entry(1, 2) == LAM * a(1, 2)
     assert spec_a.entry(2, 1) == a(1, 2)
@@ -162,7 +163,7 @@ def test_cor5_n2():
 
 
 def test_cor6_n2():
-    spec_a, spec_b, spec_c = apply_specialization(build_thm3(2), COR6)
+    spec_a, spec_b, spec_c = apply_specialization(2, COR6)
     assert spec_a.entry(1, 1).is_zero()
     assert spec_a.entry(1, 2) == LAM * a(1, 2)
     assert spec_a.entry(2, 1) == -a(1, 2)
@@ -173,7 +174,7 @@ def test_cor6_n2():
 
 def test_cor6_inner_block_is_skew():
     for n in (3, 4, 5):
-        spec_a, _, spec_c = apply_specialization(build_thm3(n), COR6)
+        spec_a, _, spec_c = apply_specialization(n, COR6)
         inner = range(2, n + 1)
         for i in inner:
             assert spec_a.entry(i, i).is_zero()
@@ -192,6 +193,29 @@ def test_cor6_inner_block_is_skew():
                     assert spec_c.entry(i, j) == base
                 else:
                     assert spec_c.entry(i, j) == base - LAM * a(1, i) * a(1, j)
+
+
+def _substituted(m: PolyMatrix, mapping) -> PolyMatrix:
+    return PolyMatrix.build(m.row_labels, m.col_labels, lambda r, c: m.entry(r, c).substitute(mapping))
+
+
+@pytest.mark.parametrize("kind", [COR5, COR6, THM7])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_specialization_matches_substituted_thm3(n, kind):
+    # The specializations as substitutions into build_thm3, stated apart from
+    # the rules: cor5 sends beta -> 1, a[i,i] -> 2 and a[i,j] -> a[j,i] for
+    # i > j; cor6 sends beta -> -1, a[i,i] -> 0 and a[i,j] -> -a[j,i]; thm7 is
+    # cor6 with lambda -> 1 as well.
+    beta, diagonal, sign = (1, 2, 1) if kind == COR5 else (-1, 0, -1)
+    mapping = {BETA: beta}
+    for i in range(1, n + 1):
+        mapping[entry(i, i)] = diagonal
+        for j in range(1, i):
+            mapping[entry(i, j)] = sign * a(j, i)
+    if kind == THM7:
+        mapping[LAMBDA] = 1
+    expected = tuple(_substituted(m, mapping) for m in build_thm3(n))
+    assert apply_specialization(n, kind) == expected
 
 
 def test_inner_minor():
@@ -242,8 +266,9 @@ def test_golden_thm3_n5():
 @pytest.mark.parametrize("make", [
     lambda: build_thm1(-1),
     lambda: build_thm3(0),
-    lambda: apply_specialization(build_thm3(2), "cor7"),
-], ids=["thm1_negative_n", "thm3_n0", "unknown_specialization"])
+    lambda: apply_specialization(2, "cor7"),
+    lambda: apply_specialization(0, COR5),
+], ids=["thm1_negative_n", "thm3_n0", "unknown_specialization", "specialization_n0"])
 def test_input_checks(make):
     with pytest.raises(ValueError):
         make()

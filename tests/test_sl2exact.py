@@ -4,14 +4,16 @@ exact linear algebra."""
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import sl2_reference as ref
-from tracedet.exactpoly import BETA, LAMBDA, entry
-from tracedet.identbuild import build_thm1, build_thm3, thm1_rules, thm3_rules
+from tracedet.exactpoly import BETA, LAMBDA, Polynomial, entry
+from tracedet.identbuild import COR5, COR6, _specialized, build_thm1, build_thm3, thm1_rules, thm3_rules
+from tracedet.symmat import PolyMatrix
 from tracedet.sl2exact import (
     DEFAULT_WORD_LEN,
     GEN_S,
@@ -269,11 +271,36 @@ def test_magnus_n1_regression_T_S():
     assert det_a == det_b + det_c
 
 
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def _golden_matrices(name: str) -> list[PolyMatrix]:
+    """A, B and C read back from a golden file in PolyMatrix.to_text form,
+    each entry parsed by Polynomial.from_text: pinned text that does not
+    depend on the entry rules as they stand."""
+    matrices = []
+    for block in re.split(r"^[ABC]$\n", (GOLDEN_DIR / name).read_text(), flags=re.M)[1:]:
+        header, *lines = block.strip().split("\n")
+        rows, cols = (json.loads(x) for x in re.fullmatch(r"rows (.*) cols (.*)", header).groups())
+        entries = {}
+        for line in lines:
+            r, c, text = re.fullmatch(r"\[(\d+),(\d+)\] (.*)", line).groups()
+            entries[(int(r), int(c))] = Polynomial.from_text(text)
+        matrices.append(PolyMatrix(rows, cols, entries))
+    return matrices
+
+
+def _assert_rules_give(rules, matrices, point):
+    for rule, m in zip(rules, matrices, strict=True):
+        rows = [[rule(r, c) for c in m.col_labels] for r in m.row_labels]
+        assert rows == m.evaluate(point, ZI_ONE)
+
+
 @pytest.mark.parametrize("n", range(8))
 def test_thm1_rules_over_zi_match_polymatrix_evaluate(n):
     # build_magnus_matrices runs thm1_rules over Z[i]; at a random point with
     # lambda != 1 they must give build_thm1's A, B and C under
-    # PolyMatrix.evaluate.
+    # PolyMatrix.evaluate, and at n = 4 the golden thm1_n4.txt's.
     rng = random.Random(300 + n)
 
     def zi():
@@ -283,27 +310,33 @@ def test_thm1_rules_over_zi_match_polymatrix_evaluate(n):
     lam = GaussianInt(rng.randint(2, 9), rng.randint(-9, 9))
     point[LAMBDA] = lam
     rules = thm1_rules(lam, lambda i, j: point[entry(i, j)], ZI_ONE)
-    for rule, m in zip(rules, build_thm1(n)):
-        rows = [[rule(r, c) for c in m.col_labels] for r in m.row_labels]
-        assert rows == m.evaluate(point, ZI_ONE)
+    _assert_rules_give(rules, build_thm1(n), point)
+    if n == 4:
+        _assert_rules_give(rules, _golden_matrices("thm1_n4.txt"), point)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_thm3_rules_over_zi_match_polymatrix_evaluate(n):
     # thm3_rules run over Z[i] at a random point with lambda, beta not in
-    # {0, 1} must give build_thm3's A, B and C under PolyMatrix.evaluate.
+    # {0, 1}, and at cor5's and cor6's points over it, must give build_thm3's
+    # A, B and C under PolyMatrix.evaluate, and at n = 5 the golden
+    # thm3_n5.txt's.
     rng = random.Random(400 + n)
 
     def zi(low=-9):
         return GaussianInt(rng.randint(low, 9), rng.randint(-9, 9))
 
-    point = {entry(i, j): zi() for i in range(1, n + 1) for j in range(1, n + 1)}
+    values = {(i, j): zi() for i in range(1, n + 1) for j in range(1, n + 1)}
     lam, beta = zi(2), zi(2)
-    point[LAMBDA], point[BETA] = lam, beta
-    rules = thm3_rules(lam, beta, lambda i, j: point[entry(i, j)])
-    for rule, m in zip(rules, build_thm3(n)):
-        rows = [[rule(r, c) for c in m.col_labels] for r in m.row_labels]
-        assert rows == m.evaluate(point, ZI_ONE)
+    generic = (beta, lambda i, j: values[(i, j)])
+    points = [generic] + [_specialized(kind, generic[1], ZI_ONE) for kind in (COR5, COR6)]
+    for beta_at, a_at in points:
+        point = {entry(i, j): a_at(i, j) for i, j in values}
+        point[LAMBDA], point[BETA] = lam, beta_at * ZI_ONE
+        rules = thm3_rules(lam, beta_at, a_at)
+        _assert_rules_give(rules, build_thm3(n), point)
+        if n == 5:
+            _assert_rules_give(rules, _golden_matrices("thm3_n5.txt"), point)
 
 
 def test_magnus_matrices_errors():
@@ -505,8 +538,7 @@ def test_trace_matrix_shapes():
 def test_exact_det_matches_polynomial_engines_on_integers():
     # The same integer matrix embedded as Gaussian rationals and as constant
     # polynomials must get the same determinant from every engine.
-    from tracedet.exactpoly import Polynomial
-    from tracedet.symmat import PolyMatrix, det_dp, det_perm_oracle
+    from tracedet.symmat import det_dp, det_perm_oracle
 
     rng = random.Random(15)
     for _ in range(10):

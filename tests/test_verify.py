@@ -422,7 +422,18 @@ def test_fail_report_keeps_its_witness_in_json(monkeypatch):
 @pytest.mark.parametrize("make", [
     lambda: verify_magnus_numeric(2, 1, 7, "integers"),
     lambda: verify_thm1(0, corrupt_sign=True),
-], ids=["unknown_generator", "corrupt_sign_at_n0"])
+    lambda: verify_symbolic("magnus", 3),
+    lambda: verify_symbolic("nope", 3),
+    lambda: verify_symbolic("cor5", 3, corrupt_sign=True),
+    lambda: verify_symbolic("thm3", 3, corrupt_sign=True),
+], ids=["unknown_generator", "corrupt_sign_at_n0", "numeric_identity", "unknown_identity",
+        "corrupt_sign_on_cor5", "corrupt_sign_on_thm3"])
 def test_input_checks(make):
     with pytest.raises(ValueError):
         make()
+
+
+def test_non_symbolic_identity_error_names_the_symbolic_targets():
+    with pytest.raises(ValueError, match="'magnus' is not a symbolic identity; "
+                                         "expected one of thm1, thm3, cor5, cor6, thm7$"):
+        verify_symbolic("magnus", 3)
