@@ -3,16 +3,16 @@ numeric trials, producing structured reports.
 
 IDENTITIES holds one row per CLI target: its sizes, the generators or sign
 modes it runs, and its default trial count.  A symbolic identity is a list
-of (coefficient, matrix) terms plus an extra polynomial, checked in one
-pass: det_dp of every matrix, then, when all are within the oracle's bound,
-det_perm_oracle of each in turn, and last the residual sum of c * det M +
-extra, which must be literally empty, all in a monomial packing local to
-the identity (see _exponent_bounds).  A failure carries the residual, or
-both engines' determinants of the first matrix they disagree on, decoded to
-the global packing.  A numeric identity is a check run on seeded cases,
-each trial drawn from one generator seeded by (identity, seed, n, trial); a
-failure's witness holds the case tag, the samples m and M, and the check's
-findings, which with the report's identity, n and seed reproduce it.
+of (coefficient, matrix) terms, checked in one pass: det_dp of every
+matrix, then, when all are within the oracle's bound, det_perm_oracle of
+each in turn, and last the residual sum of c * det M, which must be
+literally empty, all in a monomial packing local to the identity (see
+_exponent_bounds).  A failure carries the residual, or both engines'
+determinants of the first matrix they disagree on, decoded to the global
+packing.  A numeric identity is a check run on seeded cases, each trial
+drawn from one generator seeded by its report's identity, seed and n (if
+any) and the trial; a failure's witness holds the case tag, the samples m
+and M, and the check's findings, which with the report reproduce it.
 """
 
 from __future__ import annotations
@@ -182,40 +182,38 @@ def _finish(
     )
 
 
-def _terms(
-    identity: str, n: int
-) -> tuple[list[tuple[int | Polynomial, PolyMatrix]], Polynomial | int]:
-    """The (coefficient, matrix) terms of a symbolic identity at n and the
-    polynomial ``extra``; the identity is sum(c * det M) + extra = 0.
+def _terms(identity: str, n: int) -> list[tuple[int | Polynomial, PolyMatrix]]:
+    """The (coefficient, matrix) terms of a symbolic identity at n, which
+    states sum(c * det M) = 0.
 
     thm1: det A - (-1)^n det B - det C = 0.
     thm3: det A - beta*(det B + det C) - (a[1,1]-2*beta)*det(inner) = 0.
     cor5: det A - det B - det C = 0 at the symmetric point.
     cor6: det A + det B + det C = 0 at the skew point (even n).
-    thm7: det C + 2*Pf_e(A)*Pf_o(A) = 0 at the skew point with lambda = 1.
+    thm7: det C + 2*Pf_e(A)*Pf_o(A)*det(0x0) = 0 at the skew point with lambda = 1.
     """
     if identity == THM1:
         a_mat, b_mat, c_mat = build_thm1(n)
-        return [(1, a_mat), (-((-1) ** n), b_mat), (-1, c_mat)], 0
+        return [(1, a_mat), (-((-1) ** n), b_mat), (-1, c_mat)]
     if identity == THM3:
         a_mat, b_mat, c_mat = build_thm3(n)
         beta = Polynomial.of_var(BETA)
         a11 = Polynomial.of_var(entry(1, 1))
         inner = build_inner_minor(n)
-        return [(1, a_mat), (-beta, b_mat), (-beta, c_mat), (2 * beta - a11, inner)], 0
+        return [(1, a_mat), (-beta, b_mat), (-beta, c_mat), (2 * beta - a11, inner)]
     a_mat, b_mat, c_mat = apply_specialization(n, identity)
     if identity == THM7:
         pf_even, pf_odd = pfaffian_split(a_mat)
-        return [(1, c_mat)], 2 * pf_even * pf_odd
+        return [(1, c_mat), (2 * pf_even * pf_odd, PolyMatrix((), (), {}))]
     sign = -1 if identity == COR5 else 1
-    return [(1, a_mat), (sign, b_mat), (sign, c_mat)], 0
+    return [(1, a_mat), (sign, b_mat), (sign, c_mat)]
 
 
-def _exponent_bounds(terms: list[tuple[int | Polynomial, PolyMatrix]], extra) -> Counter:
+def _exponent_bounds(terms: list[tuple[int | Polynomial, PolyMatrix]]) -> Counter:
     """Per variable, the largest exponent det_dp, det_perm_oracle or the
-    residual sum can form.  Each such monomial is one of extra's, or one term
-    of a coefficient c times at most one term per row of c's matrix, so the
-    bound is the max of that over extra and the terms."""
+    residual sum can form.  Each such monomial is one term of a coefficient
+    c times at most one term per row of c's matrix, so the bound is the max
+    of that over the terms."""
 
     def most(polys) -> Counter:
         out = Counter()
@@ -223,7 +221,7 @@ def _exponent_bounds(terms: list[tuple[int | Polynomial, PolyMatrix]], extra) ->
             out |= Counter({v: p.degree_in_var(v) for v in p.variables()})
         return out
 
-    bounds = most([_coerce(extra)])
+    bounds = Counter()
     for coeff, m in terms:
         rows = (most(m.entry(r, c) for c in m.col_labels) for r in m.row_labels)
         bounds |= sum(rows, most([_coerce(coeff)]))
@@ -231,8 +229,8 @@ def _exponent_bounds(terms: list[tuple[int | Polynomial, PolyMatrix]], extra) ->
 
 
 def verify_symbolic(identity: str, n: int, corrupt_sign: bool = False) -> VerificationReport:
-    """Residual check of a symbolic identity at n: sum(c * det M) + extra
-    over its terms (see _terms) is computed and must be literally empty.
+    """Residual check of a symbolic identity at n: sum(c * det M) over its
+    terms (see _terms) is computed and must be literally empty.
 
     ``corrupt_sign`` is the mutation-sensitivity hook: it flips the sign of
     entry (1, 1) of the second matrix, thm1's B, so the verification must
@@ -247,13 +245,13 @@ def verify_symbolic(identity: str, n: int, corrupt_sign: bool = False) -> Verifi
     check_size(identity, n)
     if corrupt_sign and (identity != THM1 or n < 1):
         raise ValueError(f"corrupt_sign needs thm1 at n >= 1, got {identity} at n = {n}")
-    terms, extra = _terms(identity, n)
+    terms = _terms(identity, n)
     params: dict = {}
     if corrupt_sign:
         coeff, b_mat = terms[1]
         terms[1] = (coeff, b_mat.with_entry(1, 1, -b_mat.entry(1, 1)))
         params["corrupt_sign"] = True
-    encode, decode = _local_packing(_exponent_bounds(terms, extra))
+    encode, decode = _local_packing(_exponent_bounds(terms))
     matrices = [PolyMatrix.build(m.row_labels, m.col_labels, lambda r, c, m=m: encode(m.entry(r, c)))
                 for _, m in terms]
     dets = [det_dp(m) for m in matrices]
@@ -268,7 +266,7 @@ def verify_symbolic(identity: str, n: int, corrupt_sign: bool = False) -> Verifi
     # The residual is summed only after every determinant exists: summing each
     # in as it is computed keeps the residual alive while det_dp works on the
     # next matrix, and raised the symbolic sweep's peak RSS by about 13%.
-    residual = encode(_coerce(extra))
+    residual = Polynomial.zero()
     for (coeff, _), det in zip(terms, dets):
         _add_product(residual, 1, encode(_coerce(coeff)), det)
     return _finish(identity, n, params, started, residual.is_zero(), residual=decode(residual))
@@ -295,18 +293,20 @@ def _sample_mat(generator: str, rng: random.Random) -> Mat2:
 
 
 def _trials(
-    identity: str, generator: str, master_seed: int, n: int, trials: int, signs: bool = False,
+    identity: str, generator: str, master_seed: int, n: int | None, trials: int, signs: bool = False,
 ) -> Iterator[tuple]:
     """Trials 0..trials-1 as numeric cases.  Trial t draws from one
     generator, random.Random(derive_seed(identity, master_seed, n, t)):
     m_1..m_n, then M_1..M_n, then with ``signs`` a sign vector
-    eps_1..eps_n, each entry 1 or -1.  A case is the tag {"trial": t}, the
-    m's and the M's, and with ``signs`` eps."""
+    eps_1..eps_n, each entry 1 or -1; n None (trace) seeds without n and
+    draws one pair.  A case is the tag {"trial": t}, the m's and the M's,
+    and with ``signs`` eps."""
+    size, named = (1, ()) if n is None else (n, (n,))
     for t in range(trials):
-        rng = random.Random(derive_seed(identity, master_seed, n, t))
-        draws = [_sample_mat(generator, rng) for _ in range(2 * n)]
-        case = ({"trial": t}, draws[:n], draws[n:])
-        yield case + (tuple(rng.choice((1, -1)) for _ in range(n)),) if signs else case
+        rng = random.Random(derive_seed(identity, master_seed, *named, t))
+        draws = [_sample_mat(generator, rng) for _ in range(2 * size)]
+        case = ({"trial": t}, draws[:size], draws[size:])
+        yield case + (tuple(rng.choice((1, -1)) for _ in range(size)),) if signs else case
 
 
 def _gaussians(**values: GaussianRational) -> dict:
@@ -456,5 +456,5 @@ def verify_trace_relation(
         lhs, rhs = trace_relation_check(ms[0], big[0])
         return None if lhs == rhs else _gaussians(lhs=lhs, rhs=rhs)
 
-    cases = _trials("trace", generator, master_seed, 1, trials)
+    cases = _trials("trace", generator, master_seed, None, trials)
     return _numeric_report("trace", None, params, started, cases, check)

@@ -118,6 +118,7 @@ def test_size_bound_accepts_largest_n():
     assert (cfg.target, cfg.n) == ("thm3", 8)
     for argv in (["magnus", "--n", str(IDENTITIES["magnus"].high)],
                  ["thm2", "--n", str(IDENTITIES["thm2"].high)],
+                 ["thm2", "--eps", "exhaustive", "--n", str(cli.THM2_EXHAUSTIVE_MAX_N)],
                  ["trace", "--trials", str(cli.MAX_TRIALS)]):
         cfg = cli._validated_config(parser, parser.parse_args(["verify", *argv]))
         assert cfg.target == argv[0]

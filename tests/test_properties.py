@@ -269,7 +269,7 @@ def top_field_matrices(draw):
 @PROPERTY
 @given(top_field_matrices())
 def test_top_field_matrices_reach_their_bounds(m):
-    bounds = _exponent_bounds([(1, m)], 0)
+    bounds = _exponent_bounds([(1, m)])
     det = det_dp(m)
     assert bounds and all(det.degree_in_var(v) == b == 2 ** b.bit_length() - 1 for v, b in bounds.items())
 
@@ -277,7 +277,7 @@ def test_top_field_matrices_reach_their_bounds(m):
 @PROPERTY
 @given(st.one_of(matrices(), top_field_matrices()))
 def test_local_packing_keeps_both_determinants(m):
-    bounds = _exponent_bounds([(1, m)], 0)
+    bounds = _exponent_bounds([(1, m)])
     encode, decode = _local_packing(bounds)
     local = PolyMatrix.build(m.row_labels, m.col_labels, lambda r, c: encode(m.entry(r, c)))
     det = det_dp(m)

@@ -16,6 +16,7 @@ from tracedet.sl2exact import (
     Mat2,
     gaussian_to_json,
     mat2_to_json,
+    random_sl2_gaussian,
     random_sl2z,
 )
 from tracedet.symmat import OddSizeError, det_dp
@@ -84,17 +85,28 @@ def test_verify_thm3_family_passes_at_n8(which, engines):
     assert r.params["engines"] == engines
 
 
-@pytest.mark.parametrize("n", range(1, 6))
-def test_corrupt_sign_residual_matches_the_global_packing_sum(n):
-    terms, _ = verify._terms("thm1", n)
-    coeff, b_mat = terms[1]
-    terms[1] = (coeff, b_mat.with_entry(1, 1, -b_mat.entry(1, 1)))
+# Every symbolic identity at each of its sweep sizes up to 5.
+SYMBOLIC_UP_TO_5 = [(name, n) for name, row in verify.IDENTITIES.items() if row.trials is None
+                    for n in row.sweep if n <= 5]
+
+
+@pytest.mark.parametrize("identity,n,corrupt", [
+    *(pytest.param("thm1", n, True, id=str(n)) for n in range(1, 6)),
+    *(pytest.param(name, n, False, id=f"{name}-{n}") for name, n in SYMBOLIC_UP_TO_5),
+])
+def test_corrupt_sign_residual_matches_the_global_packing_sum(identity, n, corrupt):
+    # verify_symbolic sums its residual in a packing local to the identity;
+    # its verdict and residual must match the sum in the global packing.
+    terms = verify._terms(identity, n)
+    if corrupt:
+        coeff, b_mat = terms[1]
+        terms[1] = (coeff, b_mat.with_entry(1, 1, -b_mat.entry(1, 1)))
     expected = Polynomial.zero()
     for c, m in terms:
         expected = expected + c * det_dp(m)
-    r = verify_thm1(n, corrupt_sign=True)
-    assert r.status == FAIL
-    assert r.residual == expected.to_text()
+    r = verify_symbolic(identity, n, corrupt_sign=corrupt)
+    assert r.passed == expected.is_zero() == (not corrupt)
+    assert r.residual == (expected.to_text() if corrupt else None)
 
 
 def test_verify_thm3_family_odd_skew_rejected():
@@ -257,7 +269,7 @@ def test_trace_fails_on_unequal_sides(monkeypatch):
     monkeypatch.setattr(verify, "trace_relation_check", lambda m, big: (GR_ONE, GR_ZERO))
     r = verify_trace_relation(3, 7)
     assert r.status == FAIL
-    m, big = _sl2z_samples("trace", 7, 1)
+    m, big = _sl2z_samples("trace", 7, None)
     assert r.witness == {
         "trial": 0, "m": m, "M": big,
         "lhs": gaussian_to_json(GR_ONE), "rhs": gaussian_to_json(GR_ZERO),
@@ -302,6 +314,29 @@ def test_thm2_failure_replays_from_its_report(monkeypatch):
     assert (r.witness["m"], r.witness["M"], r.witness["eps"]) == (m, big, eps)
 
 
+@pytest.mark.parametrize("generator,sample", [
+    ("sl2z", lambda rng: random_sl2z(DEFAULT_WORD_LEN, rng)), ("gaussian", random_sl2_gaussian),
+], ids=["sl2z", "gaussian"])
+def test_trace_failure_replays_from_its_report(monkeypatch, generator, sample):
+    # As for thm2, but trace's report names no n: its identity, seed and
+    # generator and the witness's trial give the one generator that drew m
+    # and then M.
+    calls = []
+    real = verify.trace_relation_check
+
+    def check_fails_on_third_case(m, big):
+        calls.append(m)
+        return (GR_ONE, GR_ZERO) if len(calls) == 3 else real(m, big)
+
+    monkeypatch.setattr(verify, "trace_relation_check", check_fails_on_third_case)
+    r = verify_trace_relation(5, 11, generator)
+    assert r.status == FAIL and r.n is None and r.witness["trial"] == 2
+    assert r.params["generator"] == generator
+    rng = random.Random(derive_seed(r.identity, r.params["seed"], r.witness["trial"]))
+    m, big = ([mat2_to_json(sample(rng))] for _ in range(2))
+    assert (r.witness["m"], r.witness["M"]) == (m, big)
+
+
 @pytest.mark.parametrize("run_check,trials", [
     pytest.param(lambda: verify_magnus_numeric(3, 4, 42), 4, id="magnus"),
     pytest.param(lambda: verify_magnus_numeric(3, 4, 42, "gaussian"), 4, id="magnus-gaussian"),
@@ -315,7 +350,7 @@ def test_each_trial_seeds_one_generator(monkeypatch, run_check, trials):
     monkeypatch.setattr(verify, "derive_seed", lambda *a: seeds.append(a) or real(*a))
     assert run_check().passed
     assert len(seeds) == trials
-    assert [a[3] for a in seeds] == list(range(trials))
+    assert [a[-1] for a in seeds] == list(range(trials))
 
 
 def test_thm2_below_threshold_computes_one_determinant(monkeypatch):
@@ -382,7 +417,7 @@ def test_engine_mismatch_names_the_first_disagreeing_matrix(monkeypatch, identit
     monkeypatch.setattr(verify, "det_perm_oracle", oracle_wrong_on_call_k)
     r = verify_symbolic(identity, n)
     assert r.status == FAIL and r.residual is None
-    det = real(verify._terms(identity, n)[0][k][1])
+    det = real(verify._terms(identity, n)[k][1])
     assert r.witness["engine_mismatch"] == {
         "matrix_index": k, "det_dp": det.to_text(), "det_perm_oracle": (det + 1).to_text(),
     }
