@@ -8,12 +8,16 @@ disagreement with the other:
 - det_dp is a subset-DP Laplace expansion that takes the rows with the
   fewest terms first and accumulates with exactpoly's in-place product
   step (acc += sign*e*f);
-- det_perm_oracle is the literal permutation sum.  It flattens each entry
-  to (packed monomial, coefficient) pairs once, walks the permutations row
-  by row, and adds each term of each product on its own to one term dict,
-  with no Polynomial arithmetic.
+- det_perm_oracle is the permutation sum, split in half by Laplace's
+  expansion by complementary minors.  It flattens each entry to (packed
+  monomial, coefficient) pairs once, walks the top n // 2 rows and the
+  other rows each once into one term dict per set of columns taken, and
+  multiplies each complementary pair of dicts term by term, signed
+  (-1)^(sum of the top's columns - k(k-1)/2) for k top rows and columns
+  counted from 0.  Its products and sums are its own loops over term
+  dicts, with no Polynomial arithmetic and no call to exactpoly's step.
 
-det_signed_perm_expansion runs on the same walk, each cell listing the
+det_signed_perm_expansion runs on the same split sum, each cell listing the
 base entry's terms and, where the parity rule allows, the correction's.
 The Pfaffians, like det_dp, accumulate with exactpoly's step.
 """
@@ -220,67 +224,124 @@ def det_dp(m: PolyMatrix) -> Polynomial:
 
 
 def _perm_walk(
-    grid: list[list[list[tuple[int, int]]]],
+    rows: list[list[list[tuple[int, int]]]],
     degs: list[list[int]],
     row: int,
     used: int,
     deg: int,
     partial: list[tuple[int, int]],
-    out: dict[int, int],
+    out: dict[int, dict[int, int]],
+    leaf_degs: dict[int, int],
 ) -> None:
-    """Adds to out every term of every permutation product that extends a
+    """Walks the injective maps of ``rows`` into the columns, extending a
     prefix: rows before ``row`` took the columns in the bitmask ``used``,
     ``partial`` lists the signed terms of their product, unmerged, and
-    ``deg`` is its degree.  A product past the monomial degree limit raises
-    MonomialOverflowError at its leaf, before any of its terms is formed."""
-    last = row == len(grid) - 1
+    ``deg`` is its degree.  Each product of one entry per row, signed by
+    the inversions of its columns, is merged into out[mask], one term dict
+    per mask of the columns taken, and leaf_degs[mask] keeps the largest
+    degree of those products.  A product through a zero entry is never formed.  A prefix
+    past the monomial degree limit keeps its degree but drops its terms, so
+    no packed monomial past the limit is formed; _perm_sum raises if such a
+    product has a completion."""
+    last = row == len(rows) - 1
     row_degs = degs[row]
-    for col, terms in enumerate(grid[row]):
+    for col, terms in enumerate(rows[row]):
         bit = 1 << col
         if used & bit or not terms:
             continue
         # Each used column right of col is one more inversion.
         sign = -1 if (used >> col).bit_count() & 1 else 1
+        cur = deg + row_degs[col]
         if last:
-            _check_degree(deg + row_degs[col])
-            get = out.get
+            mask = used | bit
+            if cur > leaf_degs.get(mask, -1):
+                leaf_degs[mask] = cur
+            if cur > _MASK:
+                continue
+            acc = out.setdefault(mask, {})
+            get = acc.get
             for m1, c1 in partial:
                 c1 *= sign
                 for m2, c2 in terms:
                     mono = m1 + m2
-                    out[mono] = get(mono, 0) + c1 * c2
+                    acc[mono] = get(mono, 0) + c1 * c2
         else:
-            prefix = [(m1 + m2, sign * c1 * c2) for m1, c1 in partial for m2, c2 in terms]
-            _perm_walk(grid, degs, row + 1, used | bit, deg + row_degs[col], prefix, out)
+            prefix = [] if cur > _MASK else [
+                (m1 + m2, sign * c1 * c2) for m1, c1 in partial for m2, c2 in terms
+            ]
+            _perm_walk(rows, degs, row + 1, used | bit, cur, prefix, out, leaf_degs)
+
+
+def _half(rows: list[list[list[tuple[int, int]]]]) -> tuple[dict[int, dict[int, int]], dict[int, int]]:
+    """The minors on ``rows``, keyed by the mask of their columns: each
+    minor's term dict with zeros dropped, and the largest degree of a
+    product walked into it.  No rows have the one minor 1, on no columns."""
+    if not rows:
+        return {0: {0: 1}}, {0: 0}
+    # Over Z the top-degree parts of the factors multiply to a nonzero part,
+    # so the walk's degrees are exact.
+    degs = [[max((mono & _MASK for mono, _ in terms), default=0) for terms in row] for row in rows]
+    out: dict[int, dict[int, int]] = {}
+    leaf_degs: dict[int, int] = {}
+    _perm_walk(rows, degs, 0, 0, 0, [(0, 1)], out, leaf_degs)
+    return {mask: {mono: c for mono, c in terms.items() if c} for mask, terms in out.items()}, leaf_degs
 
 
 def _perm_sum(grid: list[list[list[tuple[int, int]]]]) -> Polynomial:
     """Signed sum over permutations pi of the products of grid[i][pi(i)],
-    each cell a list of (packed monomial, coefficient) pairs, added term by
-    term; the empty grid sums to 1."""
-    if not grid:
-        return Polynomial.of_int(1)
-    # Over Z the top-degree parts of the factors multiply to a nonzero part,
-    # so the walk's degrees are exact; they only grow, so a prefix that has
-    # carried into the next field never reaches a leaf that passes the check.
-    degs = [[max((mono & _MASK for mono, _ in terms), default=0) for terms in row] for row in grid]
+    each cell a list of (packed monomial, coefficient) pairs; the empty grid
+    sums to 1.
+
+    The sum is grouped by the set S of columns that the top k = n // 2 rows
+    take, which is Laplace's expansion by complementary minors:
+    det = sum over S of (-1)^(sum(S) - k(k-1)/2) * top[S] * bottom[S'],
+    with columns counted from 0 and S' the columns not in S.  Each half is
+    walked once and its minors merged (_half), and each complementary pair
+    is multiplied term by term into one term dict.  Before a pair is formed,
+    the largest product degrees of its two minors are added and checked
+    against the monomial degree limit.  So MonomialOverflowError is raised
+    exactly when some permutation through nonzero entries passes it, even
+    one whose half cancels in the merge."""
+    n = len(grid)
+    k = n // 2
+    top, top_degs = _half(grid[:k])
+    bottom, bottom_degs = _half(grid[k:])
+    full = (1 << n) - 1
     out: dict[int, int] = {}
-    _perm_walk(grid, degs, 0, 0, 0, [(0, 1)], out)
+    get = out.get
+    for mask, deg in top_degs.items():
+        rest = full ^ mask
+        if rest not in bottom_degs:
+            continue
+        _check_degree(deg + bottom_degs[rest])
+        upper, lower = top.get(mask), bottom.get(rest)
+        if not upper or not lower:
+            continue
+        col_sum = sum(col for col in range(n) if mask >> col & 1)
+        sign = -1 if (col_sum - k * (k - 1) // 2) & 1 else 1
+        for m1, c1 in upper.items():
+            c1 *= sign
+            for m2, c2 in lower.items():
+                mono = m1 + m2
+                out[mono] = get(mono, 0) + c1 * c2
     terms = {mono: coeff for mono, coeff in out.items() if coeff}
     return Polynomial._wrap(terms, _degree(terms))
 
 
 def det_perm_oracle(m: PolyMatrix) -> Polynomial:
-    """Determinant as the literal signed sum over all permutations.
+    """Determinant as the signed sum over all permutations, grouped by the
+    columns its top n // 2 rows take (see _perm_sum).
 
     Kept structurally independent of det_dp so each engine can act as the
-    other's oracle: it does no Polynomial arithmetic, and adds each term of
-    each permutation product on its own to one term dict.  The permutations
-    are walked row by row, so a prefix's partial products are computed once
-    for every permutation that starts with it.  A product past the monomial
-    degree limit raises MonomialOverflowError inside the walk, when the
-    walk reaches it; a permutation through a zero entry is never formed and
-    never raises.  Factorial cost limits it to small sizes.
+    other's oracle: it does no Polynomial arithmetic, walks each half of
+    the rows once into merged term dicts, one per set of columns, and
+    multiplies complementary dicts term by term.  Within a half the
+    permutations are walked row by row, so a prefix's partial products are
+    computed once for every extension.  MonomialOverflowError is raised
+    exactly when some permutation product through nonzero entries has a
+    degree past the monomial limit; a permutation through a zero entry never
+    raises.  Each half still costs a falling factorial, which limits the
+    oracle to small sizes.
     """
     n = m.size
     if n > DET_PERM_SIZE_BOUND:
@@ -303,9 +364,11 @@ def det_signed_perm_expansion(
     is allowed only where i + pi(i) is even (``even_corrected``) or odd
     (``odd_corrected``); elsewhere eps_i is forced to +1.
 
-    Walked like det_perm_oracle, with cell (i, j) listing base[i, j]'s terms
-    and then, where eps_i = -1 is allowed, the correction's, unmerged: each
-    term of each walked product is one term of one signed permutation.
+    Summed like det_perm_oracle, with cell (i, j) listing base[i, j]'s terms
+    and then, where eps_i = -1 is allowed, the correction's: a product that
+    takes one term from each cell is one term of one signed permutation,
+    and the split sum adds up exactly these products, merging equal
+    monomials within each half before the halves are paired.
     """
     if parity_rule not in (EVEN_CORRECTED, ODD_CORRECTED):
         raise ValueError(f"unknown parity rule {parity_rule!r}")

@@ -1,8 +1,9 @@
 """Property tests (Hypothesis) for the polynomial ring and its packed
-monomials, global and local, the two determinant engines, the
-Gaussian-rational field, the Gaussian integers, thm1's and thm3's entry
-rules and the fraction-free elimination.  Examples are derandomized so
-every run checks the same cases."""
+monomials, global and local, the two determinant engines, the split
+permutation oracle against the full walk it replaced, the Gaussian-rational
+field, the Gaussian integers, thm1's and thm3's entry rules and the
+fraction-free elimination.  Examples are derandomized so every run checks
+the same cases."""
 
 import itertools
 import math
@@ -26,6 +27,7 @@ from tracedet.exactpoly import (
 )
 from tracedet.identbuild import thm1_rules, thm3_rules
 import elimination_reference as ref
+import perm_reference as perm_ref
 import poly_reference as pref
 from tracedet.sl2exact import (
     DEFAULT_WORD_LEN,
@@ -44,7 +46,14 @@ from tracedet.sl2exact import (
     random_sl2_gaussian,
     random_sl2z,
 )
-from tracedet.symmat import PolyMatrix, det_dp, det_perm_oracle
+from tracedet.symmat import (
+    EVEN_CORRECTED,
+    ODD_CORRECTED,
+    PolyMatrix,
+    det_dp,
+    det_perm_oracle,
+    det_signed_perm_expansion,
+)
 from tracedet.verify import _exponent_bounds
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -225,6 +234,78 @@ def test_engines_agree(m, values):
     # catches an error both engines would share through the arithmetic.
     point = dict(zip(MATRIX_VARS, values))
     assert det.evaluate(point, 1) == leibniz_det(m.evaluate(point, 1))
+
+
+@st.composite
+def oracle_matrices(draw):
+    """Matrices up to the oracle's bound, with multi-term and zero cells.
+    Half the time row 1 repeats row 0; from n = 4 both lie in the oracle's
+    top half, so every top minor cancels to nothing."""
+    n = draw(st.integers(0, 7))
+    cells = draw(st.lists(st.one_of(st.just(ZERO), entries), min_size=n * n, max_size=n * n))
+    rows = [cells[i * n:(i + 1) * n] for i in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        rows[1] = rows[0]
+    return PolyMatrix.build(range(n), range(n), lambda i, j: rows[i][j])
+
+
+@PROPERTY
+@given(oracle_matrices())
+def test_split_oracle_matches_full_walk(m):
+    assert det_perm_oracle(m) == perm_ref.det(m)
+
+
+LAM = Polynomial.of_var(LAMBDA)
+
+
+@st.composite
+def high_degree_matrices(draw):
+    """Cells c * lambda^e with e up to 90, or zero, so that permutation
+    products land on both sides of the degree limit 255 and some cancel."""
+    n = draw(st.integers(1, 6))
+    cell = st.one_of(
+        st.just(ZERO),
+        st.builds(lambda c, e: c * LAM ** e, st.sampled_from([-1, 1, 2]), st.integers(0, 90)),
+    )
+    cells = draw(st.lists(cell, min_size=n * n, max_size=n * n))
+    return PolyMatrix.build(range(n), range(n), lambda i, j: cells[i * n + j])
+
+
+@PROPERTY
+@given(high_degree_matrices())
+def test_split_oracle_overflow_guard_matches_full_walk(m):
+    # Raised if and only if some permutation through nonzero entries passes
+    # degree 255, whatever the halves merge to.
+    try:
+        det = perm_ref.det(m)
+    except MonomialOverflowError:
+        with pytest.raises(MonomialOverflowError):
+            det_perm_oracle(m)
+    else:
+        assert det_perm_oracle(m) == det
+
+
+@PROPERTY
+@given(
+    st.integers(0, 6).flatmap(lambda n: st.tuples(
+        st.lists(st.one_of(st.just(ZERO), entries), min_size=n * n, max_size=n * n),
+        st.lists(polynomials(MATRIX_VARS, max_terms=1), min_size=n, max_size=n),
+    )),
+    st.sampled_from([EVEN_CORRECTED, ODD_CORRECTED]),
+)
+def test_signed_perm_expansion_matches_full_walk(drawn, rule):
+    cells, corr = drawn
+    n = len(corr)
+    base = PolyMatrix.build(range(n), range(n), lambda i, j: cells[i * n + j])
+    target = 0 if rule == EVEN_CORRECTED else 1
+    # Cell (i, j): base[i, j]'s terms, then the correction's where allowed.
+    grid = perm_ref.cells(base)
+    for i in range(n):
+        for j in range(n):
+            if (i + j) % 2 == target:
+                grid[i][j] += (-(LAM * corr[i] * corr[j]))._terms.items()
+    correction = dict(enumerate(corr))
+    assert det_signed_perm_expansion(base, correction, rule) == perm_ref.perm_sum(grid)
 
 
 @PROPERTY

@@ -27,6 +27,8 @@ from tracedet.symmat import (
     pfaffian_split,
 )
 
+import perm_reference as perm_ref
+
 
 def a(i, j):
     return Polynomial.of_var(entry(i, j))
@@ -167,6 +169,47 @@ def test_oracle_overflow_guard_skips_a_prefix_with_only_zero_completions():
     grid = [[LAM ** 200, 1, 1], [1, LAM ** 100, 1], [1, 1, 0]]
     m = PolyMatrix.build(range(3), range(3), lambda i, j: grid[i][j])
     assert det_perm_oracle(m) == -LAM ** 200 - LAM ** 100 + 2
+
+
+# The oracle splits a 4x4 matrix into rows 0-1 and rows 2-3; these cases sit
+# at that seam, and the full walk in perm_reference gives today's answer.
+def grid_matrix(grid):
+    n = len(grid)
+    return PolyMatrix.build(range(n), range(n), lambda i, j: grid[i][j])
+
+
+def test_oracle_overflow_guard_raises_on_a_pair_of_halves_past_255():
+    # Each half reaches degree 150 at most, but the diagonal reaches 300.
+    grid = [[LAM ** 150, 1, 1, 1], [1, 1, 1, 1], [1, 1, LAM ** 150, 1], [1, 1, 1, 1]]
+    with pytest.raises(MonomialOverflowError, match="300"):
+        perm_ref.det(grid_matrix(grid))
+    with pytest.raises(MonomialOverflowError, match="300"):
+        det_perm_oracle(grid_matrix(grid))
+
+
+def test_oracle_overflow_guard_skips_a_top_half_with_only_zero_completions():
+    # Rows 0 and 1 reach degree 300 on columns {0, 1}, but column 2 is zero
+    # in both bottom rows, so no bottom minor completes that prefix.
+    grid = [[LAM ** 200, 1, 1, 1], [1, LAM ** 100, 1, 1], [a(2, 0), 1, 0, 1], [1, a(3, 1), 0, 1]]
+    m = grid_matrix(grid)
+    det = det_perm_oracle(m)
+    assert det == perm_ref.det(m)
+    assert not det.is_zero()
+    # The top half keeps that product's degree but forms none of its terms:
+    # its minor on columns {0, 1} holds only -1, the product of the two 1s.
+    top, leaf_degs = symmat._half(perm_ref.cells(m)[:2])
+    assert leaf_degs[0b0011] == 300 and top[0b0011] == {0: -1}
+
+
+def test_oracle_overflow_guard_raises_on_products_that_cancel_in_a_half():
+    # Rows 0 and 1 are equal, so every top minor cancels to zero, yet the
+    # diagonal permutation has degree 100 + 100 + 60 + 60 = 320.
+    row = [LAM ** 100, LAM ** 100, 1, 1]
+    grid = [row, row, [1, 1, LAM ** 60, 1], [1, 1, 1, LAM ** 60]]
+    with pytest.raises(MonomialOverflowError, match="320"):
+        perm_ref.det(grid_matrix(grid))
+    with pytest.raises(MonomialOverflowError, match="320"):
+        det_perm_oracle(grid_matrix(grid))
 
 
 def test_row_order_sign():
