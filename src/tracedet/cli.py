@@ -29,7 +29,6 @@ from .verify import (
     EPS_MODES,
     GENERATORS,
     IDENTITIES,
-    THM2_ASSERTED_N,
     VerificationReport,
     check_size,
     verify_magnus_numeric,
@@ -111,7 +110,7 @@ def _validated_config(parser: ArgumentParser, args: Namespace) -> Namespace:
     exhaustive = args.eps == "exhaustive"
     what = f"{target} --eps exhaustive" if exhaustive else target
     trialed = not exhaustive and any(r.trials is not None for r in rows)
-    if target == "thm2" and args.n is not None and args.n < THM2_ASSERTED_N:
+    if target == "thm2" and args.n is not None and not rows[0].asserts(args.n):
         trialed, what = False, f"thm2 --n {args.n}"  # it computes one determinant
     if args.trials is not None and not trialed:
         parser.error(f"--trials is not valid for {what}")

@@ -206,7 +206,10 @@ class Mat2:
 
     @classmethod
     def identity(cls) -> "Mat2":
-        return cls(1, 0, 0, 1)
+        m = object.__new__(cls)  # I needs no det check
+        object.__setattr__(m, "num", (ZI_ONE, GaussianInt(), GaussianInt(), ZI_ONE))
+        object.__setattr__(m, "den", 1)
+        return m
 
     # The entries as GaussianRationals, for reports and tests.
     e11 = property(lambda self: _gr_over(*self.num[0], self.den))
@@ -341,36 +344,29 @@ def _dot(xs: Sequence[GaussianInt], ys: Sequence[GaussianInt]) -> GaussianInt:
 def build_magnus_matrices(
     ms: Sequence[Mat2], big_ms: Sequence[Mat2]
 ) -> tuple[ScaledMatrix, ScaledMatrix, ScaledMatrix]:
-    """Trace matrices A, B, C for the generalized determinant identity.
+    """Trace matrices A, B, C with det A = det B + det C: thm1's A, -B and C
+    at lambda = 1 and a[i,j] = tr(m_i M_j^-1), with m_0 = M_0 = I.  By
+    tr(mM) = tr m tr M - tr(mM^-1), A is (n+1)x(n+1) with A[i][j] =
+    tr(m_i M_j^-1) when i+j is even and tr(m_i M_j) otherwise, B[i][j] =
+    -tr(m_i M_j) and C[i][j] = tr(m_i M_j^-1) for 1 <= i, j <= n.  The
+    samples must pair up.
 
-    With m_0 = M_0 = I: A is (n+1)x(n+1) with A[i][j] = tr(m_i M_j^-1) when
-    i+j is even and tr(m_i M_j) otherwise; B[i][j] = -tr(m_i M_j) and
-    C[i][j] = tr(m_i M_j^-1) for 1 <= i, j <= n.  Note B carries the minus
-    sign, so the identity reads det A = det B + det C.  A, -B and C are
-    thm1's matrices at the trace point lambda = 1, a[i,0] = tr m_i,
-    a[0,j] = tr M_j and a[i,j] = tr(m_i M_j^-1), by
-    tr(mM) = tr m tr M - tr(mM^-1).  The samples must pair up.
-
-    With m_i = N_i/d_i and M_j = N'_j/D_j (N over Z[i]), thm1_rules scale
-    per row and column, so they run over Z[i] at the traces of N_i, N'_j
-    and N_i adj N'_j, and the scales are d_i and D_j (1 on the border).
+    The trace point is one trace matrix with an identity border: row 0 holds
+    tr M_j and column 0 tr m_i.  thm1_rules scale per row and column, so they
+    run on its numerators over Z[i], and its scales [1, *d_i] and [1, *D_j]
+    are A's; B and C take their [1:] slices.
     """
     if len(ms) != len(big_ms):
         raise LengthMismatchError(f"{len(ms)} m's vs {len(big_ms)} M's")
-    cross = trace_matrix(ms, big_ms, invert_right=True)
-    tr_m = [x.num[0] + x.num[3] for x in ms]
-    tr_big = [y.num[0] + y.num[3] for y in big_ms]
-
-    def a(i: int, j: int) -> GaussianInt:
-        return cross.num[i - 1][j - 1] if i and j else tr_m[i - 1] if i else tr_big[j - 1]
-
-    a_rule, b_rule, c_rule = thm1_rules(ZI_ONE, a, ZI_ONE)
+    one = Mat2.identity()
+    point = trace_matrix([one, *ms], [one, *big_ms], invert_right=True)
+    num, rows, cols = point.num, point.row_den, point.col_den
+    a_rule, b_rule, c_rule = thm1_rules(ZI_ONE, lambda i, j: num[i][j], ZI_ONE)
     outer, inner = range(len(ms) + 1), range(1, len(ms) + 1)
-    rows, cols = cross.row_den, cross.col_den
     return (
-        ScaledMatrix([[a_rule(i, j) for j in outer] for i in outer], [1, *rows], [1, *cols]),
-        ScaledMatrix([[-b_rule(i, j) for j in inner] for i in inner], rows, cols),
-        ScaledMatrix([[c_rule(i, j) for j in inner] for i in inner], rows, cols),
+        ScaledMatrix([[a_rule(i, j) for j in outer] for i in outer], rows, cols),
+        ScaledMatrix([[-b_rule(i, j) for j in inner] for i in inner], rows[1:], cols[1:]),
+        ScaledMatrix([[c_rule(i, j) for j in inner] for i in inner], rows[1:], cols[1:]),
     )
 
 

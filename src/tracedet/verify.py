@@ -70,8 +70,6 @@ SL2Z = "sl2z"
 GAUSSIAN = "gaussian"
 GENERATORS = (SL2Z, GAUSSIAN)
 EPS_MODES = ("random", "exhaustive")
-# thm2 asserts det D = 0 from this n on; below it a report is informational.
-THM2_ASSERTED_N = 5
 
 
 @dataclass(frozen=True)
@@ -81,7 +79,8 @@ class Identity:
     that takes no size), and ``high`` bounds --n; it limits cost, not
     validity, so only the CLI checks it.  ``variants`` are the generators or
     sign modes the target runs, its default first; ``trials`` is its default
-    trial count, None for a symbolic identity."""
+    trial count, None for a symbolic identity; ``vanishes`` a numeric target's
+    clauses (det, n0), each saying the determinant named det is 0 for n >= n0."""
 
     sweep: tuple[int, ...]
     low: int
@@ -89,6 +88,15 @@ class Identity:
     even: bool = False
     variants: tuple[str | None, ...] = (None,)
     trials: int | None = None
+    vanishes: tuple[tuple[str, int], ...] = ()
+
+    def asserts(self, n: int) -> bool:
+        """Whether a clause holds at n."""
+        return any(n >= n0 for _, n0 in self.vanishes)
+
+    def breaks(self, n: int, **dets: GaussianRational) -> bool:
+        """The clause check: whether a named det is nonzero at n where its clause says 0."""
+        return any(dets[det] for det, n0 in self.vanishes if n >= n0)
 
 
 # One row per target, in the order 'all' runs them.  det_dp refuses matrices
@@ -104,11 +112,13 @@ IDENTITIES: dict[str, Identity] = {
     # One magnus trial took 10-13 ms (sl2z) and 11-21 ms (gaussian) at
     # n = 24, the first one included: thm1's rules run at a trace point and
     # three exact determinants.
-    "magnus": Identity(tuple(range(1, 7)), low=1, high=24, variants=GENERATORS, trials=100),
+    "magnus": Identity(tuple(range(1, 7)), low=1, high=24, variants=GENERATORS, trials=100,
+                       vanishes=(("det_A", 4), ("det_B", 5), ("det_C", 5))),
     "magnus-original": Identity((), low=4, high=4, trials=100),
-    # The sweep starts where det D = 0 is asserted.  One random-sign trial
-    # took about 6 ms at n = 24.
-    "thm2": Identity((THM2_ASSERTED_N, 6), low=1, high=24, variants=EPS_MODES, trials=100),
+    # Below its clause a report is informational, so the sweep starts there.
+    # One random-sign trial took about 6 ms at n = 24.
+    "thm2": Identity((5, 6), low=1, high=24, variants=EPS_MODES, trials=100,
+                     vanishes=(("det_D", 5),)),
     "trace": Identity((), low=0, high=0, variants=GENERATORS, trials=1000),
 }
 
@@ -341,8 +351,8 @@ def verify_magnus_numeric(
     n: int, trials: int, master_seed: int, generator: str = SL2Z
 ) -> VerificationReport:
     """Exact trials of det A = det B + det C on sampled SL(2) matrices
-    (B[i][j] = -tr(m_i M_j), C[i][j] = tr(m_i M_j^-1)), plus the vanishing
-    clauses det A = 0 for n >= 4 and det B = det C = 0 for n >= 5."""
+    (B[i][j] = -tr(m_i M_j), C[i][j] = tr(m_i M_j^-1)), plus magnus's
+    vanishing clauses in IDENTITIES."""
     started = time.perf_counter()
     check_size("magnus", n)
     params = {"trials": trials, "seed": master_seed, "generator": generator,
@@ -350,9 +360,9 @@ def verify_magnus_numeric(
 
     def check(ms: list[Mat2], big: list[Mat2]) -> dict | None:
         det_a, det_b, det_c = (exact_det(x) for x in build_magnus_matrices(ms, big))
-        if det_a == det_b + det_c and (n < 4 or not det_a) and (n < 5 or not (det_b or det_c)):
-            return None
-        return _gaussians(det_A=det_a, det_B=det_b, det_C=det_c)
+        dets = {"det_A": det_a, "det_B": det_b, "det_C": det_c}
+        ok = det_a == det_b + det_c and not IDENTITIES["magnus"].breaks(n, **dets)
+        return None if ok else _gaussians(**dets)
 
     cases = _trials("magnus", generator, master_seed, n, trials)
     return _numeric_report("magnus", n, params, started, cases, check)
@@ -380,11 +390,10 @@ def verify_magnus_original(trials: int, master_seed: int) -> VerificationReport:
 
 
 def _thm2_check(ms: list[Mat2], big: list[Mat2], eps: tuple[int, ...]) -> dict | None:
-    """None when det D = 0 and a left kernel vector of D re-verifies, else
-    the findings."""
+    """None when thm2's clause holds and a left kernel vector of D re-verifies, else the findings."""
     d_mat = build_thm2_D(ms, big, eps)
     det_d = exact_det(d_mat)
-    if det_d:
+    if IDENTITIES["thm2"].breaks(len(ms), det_D=det_d):
         return _gaussians(det_D=det_d)
     v = left_kernel(d_mat)
     if v is None:
@@ -393,11 +402,8 @@ def _thm2_check(ms: list[Mat2], big: list[Mat2], eps: tuple[int, ...]) -> dict |
         return {"kernel": "zero vector returned"}
     product = mat_mul_vec_left(v, d_mat)
     if any(product):
-        return {
-            "kernel": "v*D nonzero",
-            "v": [gaussian_to_json(x) for x in v],
-            "vD": [gaussian_to_json(x) for x in product],
-        }
+        return {"kernel": "v*D nonzero", "v": [gaussian_to_json(x) for x in v],
+                "vD": [gaussian_to_json(x) for x in product]}
     return None
 
 
@@ -419,15 +425,15 @@ def _sign_cases(master_seed: int, n: int, trials: int, eps_mode: str) -> Iterato
 def verify_thm2(
     n: int, trials: int, master_seed: int, eps_mode: str = "random"
 ) -> VerificationReport:
-    """det D = 0 with D[i][j] = tr(m_i M_j^{eps_i}), asserted for n >=
-    THM2_ASSERTED_N and each zero accompanied by a re-verified left kernel
+    """det D = 0 with D[i][j] = tr(m_i M_j^{eps_i}), asserted where thm2's
+    clause holds and each zero accompanied by a re-verified left kernel
     vector.  Below that only the first case's determinant is computed and
     reported, never asserted.  ``exhaustive`` mode sweeps all 2^n sign
     vectors over a single seeded sample."""
     started = time.perf_counter()
     check_size("thm2", n)
     cases = _sign_cases(master_seed, n, trials, eps_mode)
-    asserted = n >= THM2_ASSERTED_N
+    asserted = IDENTITIES["thm2"].asserts(n)
     # Only an asserted random-sign report runs ``trials`` cases: exhaustive
     # mode draws one sample, and an informational report one determinant.
     params = {"trials": trials} if asserted and eps_mode == "random" else {}
@@ -437,9 +443,7 @@ def verify_thm2(
         if report.passed and eps_mode == "exhaustive":
             report.params["cases"] = 2 ** n
         return report
-    first = next(cases, None)
-    if first is not None:
-        _, ms, big, eps = first
+    for _, ms, big, eps in itertools.islice(cases, 1):
         params["informational"] = True
         params["det_sample"] = gaussian_to_json(exact_det(build_thm2_D(ms, big, eps)))
     return _finish("thm2", n, params, started, True)

@@ -1,5 +1,6 @@
 """Reports, determinism, dual-engine residuals, and the mutation hook."""
 
+import itertools
 import json
 import random
 
@@ -13,6 +14,7 @@ from tracedet.sl2exact import (
     DEFAULT_WORD_LEN,
     GR_ONE,
     GR_ZERO,
+    GaussianRational,
     Mat2,
     gaussian_to_json,
     mat2_to_json,
@@ -128,11 +130,21 @@ def test_verify_magnus_numeric_small(generator):
         assert r.status == PASS
 
 
-def test_verify_magnus_numeric_vanishing_draws():
+def test_verify_magnus_numeric_vanishing_draws(monkeypatch):
     r = verify_magnus_numeric(4, 2, 7)
     assert r.status == PASS
     r = verify_magnus_numeric(5, 2, 7)
     assert r.status == PASS
+    # Honest samples vanish on either side of a clause's edge, so pin each
+    # edge with determinants that satisfy det A = det B + det C and break
+    # only the clause: det A = 0 from n = 4, det B = det C = 0 from n = 5.
+    for dets, edge, named in (((1, 1, 0), 4, "det_A"), ((0, 1, -1), 5, "det_B")):
+        values = itertools.cycle([GaussianRational(x) for x in dets])  # A, B, C per trial
+        monkeypatch.setattr(verify, "exact_det", lambda m, values=values: next(values))
+        assert verify_magnus_numeric(edge - 1, 2, 7).status == PASS
+        r = verify_magnus_numeric(edge, 2, 7)
+        assert r.status == FAIL
+        assert r.witness[named] != gaussian_to_json(GR_ZERO)
 
 
 def test_verify_magnus_original_small():
@@ -155,6 +167,14 @@ def test_verify_thm2_informational_below_threshold():
     assert r.params["asserted"] is False
     assert r.params["informational"] is True
     assert "det_sample" in r.params
+
+
+def test_thm2_sweep_starts_at_its_clause():
+    # Below its clause a thm2 report is informational, so the default sweep
+    # runs no size under the clause and starts where it does.
+    row = verify.IDENTITIES["thm2"]
+    assert all(row.asserts(n) for n in row.sweep)
+    assert not row.asserts(row.sweep[0] - 1)
 
 
 def test_verify_thm2_bad_mode():
